@@ -1,33 +1,23 @@
-// Ablation: connection scaling on the reactor transport (src/net/poller.h,
-// src/net/link.h), per io backend (src/net/io_backend.h).  One publisher
-// fans a message out to N TCP subscriber links (in-process transport
-// disabled, so every delivery crosses a real loopback socket) for N in
-// {1, 64, 256, 1024}; each configuration records the process thread count
-// at steady state, the p50/p99 publish-to-last-delivery latency, and —
-// from the backend syscall shim counters — transport syscalls per
-// delivered message.
+// Ablation: connection scaling on the epoll reactor transport
+// (src/net/poller.h, src/net/link.h).  One publisher fans a message out to
+// N TCP subscriber links (in-process transport disabled, so every delivery
+// crosses a real loopback socket) for N in {1, 64, 256, 1024}; each
+// configuration records the process thread count at steady state, the
+// p50/p99 publish-to-last-delivery latency, and — from the syscall shim
+// counters (src/net/io_backend.h) — transport syscalls per delivered
+// message.
 //
-// The claims under test: transport threads stay O(cores) no matter how
-// many links exist, and the uring backend's batched submission cuts
-// syscalls per delivery by >=4x at 256 links without regressing p50 at a
-// single link.  The thread-per-connection transport this used to ablate
-// against was removed in PR 4; its historical rows are preserved in
-// EXPERIMENTS.md.
-//
-// The Reactor binds its io backend once per process, so each backend runs
-// in a re-exec'd child (/proc/self/exe with RSF_IO_BACKEND set); the
-// parent collects rows over a pipe.  Uring rows are skipped with a printed
-// reason when the host refuses io_uring_setup.
+// The claim under test: transport threads stay O(cores) no matter how
+// many links exist.  The thread-per-connection transport this used to
+// ablate against is gone; its historical rows are preserved in
+// EXPERIMENTS.md, and the removed uring backend's rows in DESIGN.md.
 //
 // Prints a table and writes BENCH_connections.json.
 #include <dirent.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -69,7 +59,6 @@ double Percentile(std::vector<double> values, double fraction) {
 }
 
 struct Row {
-  std::string backend;
   size_t links = 0;
   size_t threads_total = 0;
   double p50_us = 0.0;
@@ -87,12 +76,11 @@ struct Config {
 /// One configuration: N wire subscribers on one topic, `iterations`
 /// stop-and-wait fan-outs.  Latency per iteration = publish() to the LAST
 /// subscriber's callback; syscalls differenced across the measured
-/// iterations via the backend shim counters.
-Row RunConfig(const std::string& backend, size_t links, const Config& config) {
+/// iterations via the syscall shim counters.
+Row RunConfig(size_t links, const Config& config) {
   ros::NodeHandle pub_node("bench_pub");
   ros::NodeHandle sub_node("bench_sub");
-  const std::string topic =
-      "/conn_scaling_" + backend + "_" + std::to_string(links);
+  const std::string topic = "/conn_scaling_" + std::to_string(links);
   auto pub = pub_node.advertise<std_msgs::String>(topic, 10);
 
   std::atomic<uint64_t> delivered{0};
@@ -110,8 +98,7 @@ Row RunConfig(const std::string& backend, size_t links, const Config& config) {
         options));
   }
   if (!WaitFor([&] { return pub.getNumSubscribers() == links; })) {
-    std::fprintf(stderr, "FATAL: %s/%zu links never all connected\n",
-                 backend.c_str(), links);
+    std::fprintf(stderr, "FATAL: %zu links never all connected\n", links);
     std::exit(1);
   }
 
@@ -130,8 +117,8 @@ Row RunConfig(const std::string& backend, size_t links, const Config& config) {
     if (!WaitFor([&] {
           return delivered.load(std::memory_order_relaxed) >= expected;
         })) {
-      std::fprintf(stderr, "FATAL: %s/%zu links stalled at iteration %d\n",
-                   backend.c_str(), links, i);
+      std::fprintf(stderr, "FATAL: %zu links stalled at iteration %d\n",
+                   links, i);
       std::exit(1);
     }
     if (i == 0) {
@@ -147,82 +134,17 @@ Row RunConfig(const std::string& backend, size_t links, const Config& config) {
       static_cast<double>(links) * static_cast<double>(config.iterations);
   const double syscalls = static_cast<double>(
       counters_after.TotalSyscalls() - counters_before.TotalSyscalls());
-  return {backend,
-          links,
+  return {links,
           threads_at_steady_state,
           Percentile(latencies_us, 0.50),
           Percentile(latencies_us, 0.99),
           deliveries > 0.0 ? syscalls / deliveries : 0.0};
 }
 
-constexpr const char* kChildFlag = "--backend-child";
-
-/// Child mode: run every link count on the backend the parent selected via
-/// RSF_IO_BACKEND, print machine-readable ROW lines on stdout.
-int RunChild(const std::string& backend, const std::vector<size_t>& link_counts,
-             const Config& config) {
-  for (const size_t links : link_counts) {
-    if (config.only_links != 0 && links != config.only_links) continue;
-    const Row row = RunConfig(backend, links, config);
-    std::printf("ROW %s %zu %zu %.1f %.1f %.4f\n", row.backend.c_str(),
-                row.links, row.threads_total, row.p50_us, row.p99_us,
-                row.syscalls_per_delivery);
-    std::fflush(stdout);
-    ros::master().Reset();
-  }
-  return 0;
-}
-
-/// Parent side: re-exec ourselves with RSF_IO_BACKEND=<backend> and collect
-/// the child's ROW lines.  Returns false if the child failed.
-bool RunBackend(const char* self_exe, const std::string& backend,
-                const Config& config, std::vector<Row>* rows) {
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) return false;
-  const pid_t pid = ::fork();
-  if (pid < 0) return false;
-  if (pid == 0) {
-    ::close(pipe_fds[0]);
-    ::dup2(pipe_fds[1], STDOUT_FILENO);
-    ::close(pipe_fds[1]);
-    ::setenv("RSF_IO_BACKEND", backend.c_str(), 1);
-    const std::string iters = std::to_string(config.iterations);
-    const std::string bytes = std::to_string(config.payload_bytes);
-    ::execl(self_exe, self_exe, kChildFlag, backend.c_str(), "--iters",
-            iters.c_str(), "--bytes", bytes.c_str(), (char*)nullptr);
-    std::perror("execl");
-    _exit(127);
-  }
-  ::close(pipe_fds[1]);
-  FILE* stream = ::fdopen(pipe_fds[0], "r");
-  char line[256];
-  while (stream != nullptr && std::fgets(line, sizeof(line), stream)) {
-    Row row;
-    char name[32] = {0};
-    if (std::sscanf(line, "ROW %31s %zu %zu %lf %lf %lf", name, &row.links,
-                    &row.threads_total, &row.p50_us, &row.p99_us,
-                    &row.syscalls_per_delivery) == 6) {
-      row.backend = name;
-      rows->push_back(row);
-      std::printf("  %-8s %-8zu %14zu %12.1f %12.1f %18.2f\n",
-                  row.backend.c_str(), row.links, row.threads_total,
-                  row.p50_us, row.p99_us, row.syscalls_per_delivery);
-      std::fflush(stdout);
-    } else {
-      std::fputs(line, stderr);  // forward child diagnostics
-    }
-  }
-  if (stream != nullptr) std::fclose(stream);
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  return WIFEXITED(status) && WEXITSTATUS(status) == 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   Config config;
-  std::string child_backend;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--full") {
@@ -233,37 +155,28 @@ int main(int argc, char** argv) {
       config.payload_bytes = static_cast<size_t>(std::atol(argv[++i]));
     } else if (arg == "--links" && i + 1 < argc) {
       config.only_links = static_cast<size_t>(std::atol(argv[++i]));
-    } else if (arg == kChildFlag && i + 1 < argc) {
-      child_backend = argv[++i];
     }
   }
   config.iterations = std::max(config.iterations, 1);
   config.payload_bytes = std::max(config.payload_bytes, size_t{1});
 
-  const std::vector<size_t> link_counts = {1, 64, 256, 1024};
-  if (!child_backend.empty()) {
-    return RunChild(child_backend, link_counts, config);
-  }
-
   std::printf(
-      "=== Ablation: connection scaling x io backend, %zu-byte payload, "
-      "%d iterations ===\n\n",
+      "=== Ablation: connection scaling, %zu-byte payload, %d iterations "
+      "===\n\n",
       config.payload_bytes, config.iterations);
-  std::printf("  %-8s %-8s %14s %12s %12s %18s\n", "backend", "links",
-              "threads total", "p50 (us)", "p99 (us)", "syscalls/delivery");
+  std::printf("  %-8s %14s %12s %12s %18s\n", "links", "threads total",
+              "p50 (us)", "p99 (us)", "syscalls/delivery");
 
   std::vector<Row> rows;
-  for (const char* backend : {"epoll", "uring"}) {
-    if (std::strcmp(backend, "uring") == 0 && !rsf::net::UringAvailable()) {
-      std::printf(
-          "  uring    --       io_uring unavailable on this host "
-          "(setup probe failed); rows skipped\n");
-      continue;
-    }
-    if (!RunBackend("/proc/self/exe", backend, config, &rows)) {
-      std::fprintf(stderr, "FATAL: %s child run failed\n", backend);
-      return 1;
-    }
+  for (const size_t links : {1, 64, 256, 1024}) {
+    if (config.only_links != 0 && links != config.only_links) continue;
+    const Row row = RunConfig(links, config);
+    rows.push_back(row);
+    std::printf("  %-8zu %14zu %12.1f %12.1f %18.2f\n", row.links,
+                row.threads_total, row.p50_us, row.p99_us,
+                row.syscalls_per_delivery);
+    std::fflush(stdout);
+    ros::master().Reset();
   }
 
   FILE* json = std::fopen("BENCH_connections.json", "w");
@@ -277,11 +190,11 @@ int main(int argc, char** argv) {
                  config.payload_bytes, config.iterations);
     for (size_t i = 0; i < rows.size(); ++i) {
       std::fprintf(json,
-                   "    {\"mode\": \"reactor\", \"backend\": \"%s\", "
+                   "    {\"mode\": \"reactor\", \"backend\": \"epoll\", "
                    "\"links\": %zu, \"threads_total\": %zu, "
                    "\"p50_us\": %.1f, \"p99_us\": %.1f, "
                    "\"syscalls_per_delivery\": %.2f}%s\n",
-                   rows[i].backend.c_str(), rows[i].links,
+                   rows[i].links,
                    rows[i].threads_total, rows[i].p50_us, rows[i].p99_us,
                    rows[i].syscalls_per_delivery,
                    i + 1 < rows.size() ? "," : "");

@@ -1,22 +1,11 @@
-// Ablation: MSG_ZEROCOPY egress (src/net/socket.h, src/net/framing.h) and
-// adaptive send batching (FrameWriter::GatherBudget).
+// Ablation: the same-host zero-copy lane (shm descriptors, src/ros/
+// shm_transport.h) and adaptive send batching (FrameWriter::GatherBudget).
 //
-// Part 1 — egress tier: SFM image pub/sub over real loopback TCP links at
-// three payload sizes (64KB / 512KB / 4MB), three tier policies per cell:
-// "copy" (RSF_ZEROCOPY_THRESHOLD=0: classic copying sendmsg), "zerocopy"
-// (threshold 64KB, copied-completion auto-park disabled so the pinned path
-// stays engaged), and "auto" (the production defaults: threshold 64KB,
-// park after 8 copied completions — on loopback this probes briefly, then
-// reverts to copy), each over a pure loopback link and a SimLink-shaped
-// 10GbE model.  The env knobs are re-read at link creation, so flipping
-// them between runs retargets every fresh link.
-//
-// CAVEAT (also in EXPERIMENTS.md): loopback has no NIC, so the kernel
-// completes every MSG_ZEROCOPY send with SO_EE_CODE_ZEROCOPY_COPIED — it
-// deferred the copy, it did not elide it.  Numbers here bound the
-// bookkeeping overhead of the pinned path; the copy elision itself only
-// materializes on hardware with real DMA.  That is exactly why production
-// defaults auto-park the tier after repeated copied completions.
+// Part 1 — shm tier: SFM image pub/sub over a shm-negotiated link at three
+// payload sizes (64KB / 512KB / 4MB).  The payload crosses as a 48-byte
+// descriptor into a shared block, so latency decouples from payload size.
+// (The kernel zero-copy egress tier this bench used to ablate was
+// removed; its rows are kept in DESIGN.md, "Removed tiers".)
 //
 // Part 2 — batching sweep: a 1024-message burst of small frames down one
 // link for RSF_SEND_BATCH_MAX in {8, 16, 64}; reports burst throughput and
@@ -31,22 +20,18 @@
 
 #include "bench/bench_util.h"
 #include "net/sim_link.h"
-#include "sfm/shm_pool.h"
 #include "net/socket.h"
+#include "sfm/shm_pool.h"
 #include "std_msgs/String.h"
 
 namespace {
 
-struct EgressRow {
-  const char* tier;    // "copy" or "zerocopy"
-  const char* shaping; // "loopback" or "10gbe-sim"
+struct ShmRow {
   const char* size_label;
   size_t payload_bytes;
-  double p50_ms;     // transport-only publish-to-callback latency
+  double p50_ms;  // transport-only publish-to-callback latency
   double mean_ms;
-  uint64_t zc_sends; // MSG_ZEROCOPY sendmsg calls during the run
-  uint64_t zc_bytes; // payload bytes pinned instead of copied
-  uint64_t shm_deliveries = 0;  // deliveries that rode a shm descriptor
+  uint64_t shm_deliveries;  // deliveries that rode a shm descriptor
 };
 
 struct BatchRow {
@@ -63,49 +48,10 @@ uint32_t SideFor(size_t bytes) {
   return side;
 }
 
-struct Tier {
-  const char* label;
-  const char* threshold;     // RSF_ZEROCOPY_THRESHOLD
-  const char* copied_limit;  // RSF_ZEROCOPY_COPIED_LIMIT
-};
-inline constexpr Tier kTiers[] = {
-    {"copy", "0", "8"},       // tier off: every frame copies
-    {"zerocopy", "65536", "0"},  // pinned on: never auto-park
-    {"auto", "65536", "8"},   // production defaults: probe, then park
-};
-
-EgressRow RunEgressCell(const Tier& tier, const char* shaping,
-                        rsf::net::LinkConfig link, const char* size_label,
-                        size_t payload_bytes, const bench::Options& options) {
-  // Re-read at link creation (publisher accept path), so set before
-  // RunPubSub dials the fresh links for this cell.
-  ::setenv("RSF_ZEROCOPY_THRESHOLD", tier.threshold, 1);
-  ::setenv("RSF_ZEROCOPY_COPIED_LIMIT", tier.copied_limit, 1);
-
-  const uint32_t side = SideFor(payload_bytes);
-  const uint64_t zc_sends_before = rsf::net::ZeroCopySendCount();
-  const uint64_t zc_bytes_before = rsf::net::ZeroCopySendBytes();
-  rsf::LatencyRecorder transport;
-  bench::RunPubSub<sensor_msgs::sfm::Image>(side, side, options, link,
-                                            bench::Transport::kTcp,
-                                            &transport);
-  return {tier.label,
-          shaping,
-          size_label,
-          static_cast<size_t>(side) * side * 3,
-          transport.Percentile(0.5),
-          transport.mean_ms(),
-          rsf::net::ZeroCopySendCount() - zc_sends_before,
-          rsf::net::ZeroCopySendBytes() - zc_bytes_before};
-}
-
 /// One shm-tier cell (loopback only: shared memory is same-host by
-/// definition).  The payload crosses as a 48-byte descriptor, so the zc
-/// egress counters stay flat and the latency decouples from payload size.
-EgressRow RunShmCell(const char* size_label, size_t payload_bytes,
-                     const bench::Options& options) {
-  ::setenv("RSF_ZEROCOPY_THRESHOLD", "65536", 1);
-  ::setenv("RSF_ZEROCOPY_COPIED_LIMIT", "8", 1);
+/// definition).
+ShmRow RunShmCell(const char* size_label, size_t payload_bytes,
+                  const bench::Options& options) {
   ::setenv("RSF_TRANSPORT_SHM", "1", 1);
   sfm::shm::ResetPoolForTest();
 
@@ -121,19 +67,11 @@ EgressRow RunShmCell(const char* size_label, size_t payload_bytes,
       shm_before;
   ::unsetenv("RSF_TRANSPORT_SHM");
   sfm::shm::ResetPoolForTest();
-  return {"shm",
-          "loopback",
-          size_label,
-          static_cast<size_t>(side) * side * 3,
-          transport.Percentile(0.5),
-          transport.mean_ms(),
-          0,
-          0,
-          deliveries};
+  return {size_label, static_cast<size_t>(side) * side * 3,
+          transport.Percentile(0.5), transport.mean_ms(), deliveries};
 }
 
 BatchRow RunBatchCell(size_t batch_max, size_t messages) {
-  ::setenv("RSF_ZEROCOPY_THRESHOLD", "0", 1);  // small frames: copy tier
   ::setenv("RSF_SEND_BATCH_MAX", std::to_string(batch_max).c_str(), 1);
 
   ros::master().Reset();
@@ -188,48 +126,19 @@ int main(int argc, char** argv) {
   };
   const Size sizes[] = {
       {"64KB", 64 * 1024}, {"512KB", 512 * 1024}, {"4MB", 4 * 1024 * 1024}};
-  struct Shape {
-    const char* label;
-    rsf::net::LinkConfig link;
-  };
-  const Shape shapes[] = {{"loopback", rsf::net::LinkConfig::Loopback()},
-                          {"10gbe-sim", rsf::net::LinkConfig::TenGigE()}};
 
   std::printf(
-      "=== Ablation: MSG_ZEROCOPY egress, SFM images over TCP, %d iterations "
-      "===\n"
-      "    (loopback completions are 'copied' — see the caveat in the "
-      "header)\n\n",
+      "=== Ablation: shm tier, SFM images, %d iterations (same-host only; "
+      "the payload crosses as a 48-byte descriptor) ===\n\n",
       options.iterations);
-  std::printf("  %-9s %-10s %-7s %12s %12s %10s %14s\n", "tier", "shaping",
-              "size", "p50 (ms)", "mean (ms)", "zc sends", "zc bytes");
-
-  std::vector<EgressRow> egress;
-  for (const auto& shape : shapes) {
-    for (const auto& size : sizes) {
-      for (const Tier& tier : kTiers) {
-        egress.push_back(RunEgressCell(tier, shape.label, shape.link,
-                                       size.label, size.bytes, options));
-        const EgressRow& row = egress.back();
-        std::printf("  %-9s %-10s %-7s %12.3f %12.3f %10llu %14llu\n",
-                    row.tier, row.shaping, row.size_label, row.p50_ms,
-                    row.mean_ms,
-                    static_cast<unsigned long long>(row.zc_sends),
-                    static_cast<unsigned long long>(row.zc_bytes));
-      }
-    }
-  }
-
-  std::printf(
-      "\n=== Shm tier rows (same-host only; the payload crosses as a "
-      "48-byte descriptor) ===\n\n");
-  std::printf("  %-9s %-10s %-7s %12s %12s %14s\n", "tier", "shaping",
-              "size", "p50 (ms)", "mean (ms)", "shm deliveries");
+  std::printf("  %-7s %12s %12s %14s\n", "size", "p50 (ms)", "mean (ms)",
+              "shm deliveries");
+  std::vector<ShmRow> shm;
   for (const auto& size : sizes) {
-    egress.push_back(RunShmCell(size.label, size.bytes, options));
-    const EgressRow& row = egress.back();
-    std::printf("  %-9s %-10s %-7s %12.3f %12.3f %14llu\n", row.tier,
-                row.shaping, row.size_label, row.p50_ms, row.mean_ms,
+    shm.push_back(RunShmCell(size.label, size.bytes, options));
+    const ShmRow& row = shm.back();
+    std::printf("  %-7s %12.3f %12.3f %14llu\n", row.size_label, row.p50_ms,
+                row.mean_ms,
                 static_cast<unsigned long long>(row.shm_deliveries));
   }
 
@@ -246,8 +155,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(row.write_syscalls));
   }
   ::unsetenv("RSF_SEND_BATCH_MAX");
-  ::unsetenv("RSF_ZEROCOPY_THRESHOLD");
-  ::unsetenv("RSF_ZEROCOPY_COPIED_LIMIT");
 
   FILE* json = std::fopen("BENCH_zerocopy.json", "w");
   if (json != nullptr) {
@@ -255,25 +162,18 @@ int main(int argc, char** argv) {
                  "{\n  \"bench\": \"ablation_zerocopy\",\n"
                  "  \"unit\": \"transport-only publish-to-callback latency, "
                  "milliseconds\",\n"
-                 "  \"caveat\": \"loopback MSG_ZEROCOPY completions report "
-                 "SO_EE_CODE_ZEROCOPY_COPIED: the kernel defers the copy "
-                 "rather than eliding it, so these rows bound bookkeeping "
-                 "overhead, not DMA savings\",\n"
                  "  \"iterations\": %d,\n  \"results\": [\n",
                  options.iterations);
-    for (size_t i = 0; i < egress.size(); ++i) {
-      const EgressRow& row = egress[i];
+    for (size_t i = 0; i < shm.size(); ++i) {
+      const ShmRow& row = shm[i];
       std::fprintf(json,
-                   "    {\"tier\": \"%s\", \"shaping\": \"%s\", "
+                   "    {\"tier\": \"shm\", \"shaping\": \"loopback\", "
                    "\"size\": \"%s\", \"payload_bytes\": %zu, "
                    "\"p50_ms\": %.3f, \"mean_ms\": %.3f, "
-                   "\"zerocopy_sends\": %llu, \"zerocopy_bytes\": %llu, \"shm_deliveries\": %llu}%s\n",
-                   row.tier, row.shaping, row.size_label, row.payload_bytes,
-                   row.p50_ms, row.mean_ms,
-                   static_cast<unsigned long long>(row.zc_sends),
-                   static_cast<unsigned long long>(row.zc_bytes),
+                   "\"shm_deliveries\": %llu}%s\n",
+                   row.size_label, row.payload_bytes, row.p50_ms, row.mean_ms,
                    static_cast<unsigned long long>(row.shm_deliveries),
-                   i + 1 < egress.size() ? "," : "");
+                   i + 1 < shm.size() ? "," : "");
     }
     std::fprintf(json, "  ],\n  \"batching\": [\n");
     for (size_t i = 0; i < batching.size(); ++i) {

@@ -1,11 +1,7 @@
 #include "net/framing.h"
 
-#include <sys/socket.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/endian.h"
 
@@ -130,14 +126,10 @@ Result<FrameReader::Step> FrameReader::Poll(TcpConnection& conn,
 bool FrameWriter::Enqueue(std::shared_ptr<const uint8_t[]> payload,
                           uint32_t size, size_t max_pending) {
   bool evicted = false;
-  if (max_pending > 0 && staged_.size() + pending_.size() >= max_pending) {
-    // Drop-oldest, but never a frame already (partially) on the wire:
-    // staged frames are submitted and untouchable, and in readiness mode
-    // (staged_ always empty) the front frame may be mid-write.
-    const size_t victim =
-        (staged_.empty() && !pending_.empty() && pending_.front().offset > 0)
-            ? 1
-            : 0;
+  if (max_pending > 0 && pending_.size() >= max_pending) {
+    // Drop-oldest, but never a frame already (partially) on the wire: the
+    // front frame may be mid-write.
+    const size_t victim = pending_.front().offset > 0 ? 1 : 0;
     if (victim < pending_.size()) {
       pending_.erase(pending_.begin() + static_cast<long>(victim));
       evicted = true;
@@ -176,66 +168,15 @@ void FrameWriter::AdaptGatherBudget() noexcept {
   }
 }
 
-Status FrameWriter::FlushZeroCopyPayload(TcpConnection& conn, bool* blocked) {
-  // Front frame's header already left via the copy path; send the payload
-  // remainder pinned.  Each send that leaves bytes consumes one kernel
-  // notification id and retains the payload holder until that id completes.
-  PendingFrame& front = pending_.front();
-  const size_t payload_off = front.offset - sizeof(front.header);
-  const iovec iov = {const_cast<uint8_t*>(front.payload.get()) + payload_off,
-                     front.size - payload_off};
-  auto result =
-      conn.SendSome(std::span<const iovec>(&iov, 1), MSG_ZEROCOPY);
-  if (result.error == 0 && result.bytes > 0) {
-    in_flight_.push_back({next_zerocopy_id_++, front.payload});
-  } else if (result.error == ENOBUFS) {
-    // Transient optmem pressure (the pinned-page accounting budget is
-    // full): this one send copies, the tier stays on.
-    result = conn.SendSome(std::span<const iovec>(&iov, 1), 0);
-  } else if (result.error == EINVAL || result.error == EOPNOTSUPP) {
-    // The socket/route cannot do MSG_ZEROCOPY at all: copy from now on.
-    zerocopy_active_ = false;
-    result = conn.SendSome(std::span<const iovec>(&iov, 1), 0);
-  }
-  if (result.error != 0) {
-    return UnavailableError(std::string("sendmsg: ") +
-                            std::strerror(result.error));
-  }
-  if (result.bytes == 0) {
-    *blocked = true;  // socket buffer full: resume on writability
-    return Status::Ok();
-  }
-  bytes_written_ += result.bytes;
-  front.offset += result.bytes;
-  if (front.offset == sizeof(front.header) + front.size) {
-    ++zerocopy_frames_;
-    pending_.pop_front();
-    ++frames_written_;
-  }
-  return Status::Ok();
-}
-
 Status FrameWriter::Flush(TcpConnection& conn) {
   // Gather up to the adaptive budget of queued frames (header + payload
   // each) into one sendmsg; resume mid-frame via the front frame's offset.
-  // Zerocopy-eligible frames contribute only their header to the gather —
-  // the header bytes live in the deque node, whose storage recycles on pop,
-  // so they must be copied — and their payload follows as a dedicated
-  // MSG_ZEROCOPY send once the header is on the wire.
   AdaptGatherBudget();
   while (!pending_.empty()) {
-    if (ZeroCopyEligible(pending_.front()) &&
-        pending_.front().offset >= sizeof(PendingFrame::header)) {
-      bool blocked = false;
-      RSF_RETURN_IF_ERROR(FlushZeroCopyPayload(conn, &blocked));
-      if (blocked) return Status::Ok();
-      continue;
-    }
     iov_.clear();
     const size_t frames = std::min(pending_.size(), gather_budget_);
     for (size_t i = 0; i < frames; ++i) {
       PendingFrame& frame = pending_[i];
-      const bool zerocopy = ZeroCopyEligible(frame);
       size_t skip = frame.offset;  // only ever non-zero for i == 0
       if (skip < sizeof(frame.header)) {
         iov_.push_back(
@@ -244,11 +185,10 @@ Status FrameWriter::Flush(TcpConnection& conn) {
       } else {
         skip -= sizeof(frame.header);
       }
-      if (!zerocopy && frame.size > skip) {
+      if (frame.size > skip) {
         iov_.push_back({const_cast<uint8_t*>(frame.payload.get()) + skip,
                         frame.size - skip});
       }
-      if (zerocopy) break;  // its payload goes out pinned next iteration
     }
     if (iov_.empty()) {  // fully written frames (size-0 payloads) linger?
       pending_.pop_front();
@@ -274,150 +214,6 @@ Status FrameWriter::Flush(TcpConnection& conn) {
     }
   }
   return Status::Ok();
-}
-
-std::span<uint8_t> FrameReader::NextWindow() noexcept {
-  if (state_ == State::kHeader) {
-    return {header_ + header_got_, sizeof(header_) - header_got_};
-  }
-  return {payload_ + payload_got_, payload_len_ - payload_got_};
-}
-
-Result<FrameReader::Step> FrameReader::Commit(size_t n,
-                                              const FrameAllocator& alloc,
-                                              uint32_t* length) {
-  if (state_ == State::kHeader) {
-    header_got_ += n;
-    if (header_got_ < sizeof(header_)) return Step::kNeedMore;
-    const uint32_t raw = LoadLE<uint32_t>(header_);
-    if (FrameTag(raw) > kFrameTagMax) {
-      return OutOfRangeError("unknown frame tag (corrupted length?): " +
-                             std::to_string(raw));
-    }
-    raw_len_ = raw;
-    payload_len_ = FrameLength(raw);
-    payload_got_ = 0;
-    payload_ = alloc(raw);
-    if (payload_ == nullptr && payload_len_ > 0) {
-      return ResourceExhaustedError("frame allocator returned null");
-    }
-    if (payload_len_ == 0) {
-      *length = raw;
-      Reset();
-      return Step::kFrame;
-    }
-    state_ = State::kPayload;
-    return Step::kNeedMore;
-  }
-  payload_got_ += n;
-  if (payload_got_ < payload_len_) return Step::kNeedMore;
-  const uint32_t raw = raw_len_;
-  Reset();
-  *length = raw;
-  return Step::kFrame;
-}
-
-FrameWriter::StagedSend FrameWriter::StageSubmission() {
-  if (staged_.empty()) {
-    AdaptGatherBudget();
-    // Move frames out of the queue for the flight: deque erasure
-    // (eviction) invalidates references, and the kernel will be reading
-    // these header bytes asynchronously.
-    while (!pending_.empty() && staged_.size() < gather_budget_) {
-      const bool zerocopy = ZeroCopyEligible(pending_.front());
-      staged_.push_back(std::move(pending_.front()));
-      pending_.pop_front();
-      // A zerocopy frame closes the batch: its header joins the gather,
-      // its payload goes out alone as SEND_ZC once the header is on the
-      // wire.
-      if (zerocopy) break;
-    }
-  }
-  StagedSend out;
-  if (staged_.empty()) return out;
-  PendingFrame& front = staged_.front();
-  if (ZeroCopyEligible(front) && !force_copy_front_ &&
-      front.offset >= sizeof(front.header)) {
-    const size_t payload_off = front.offset - sizeof(front.header);
-    out.zc_data = front.payload.get() + payload_off;
-    out.zc_len = front.size - payload_off;
-    out.zc_holder = front.payload;
-    return out;
-  }
-  iov_.clear();
-  for (size_t i = 0; i < staged_.size(); ++i) {
-    PendingFrame& frame = staged_[i];
-    const bool zerocopy =
-        ZeroCopyEligible(frame) && !(i == 0 && force_copy_front_);
-    size_t skip = frame.offset;  // only ever non-zero for i == 0
-    if (skip < sizeof(frame.header)) {
-      iov_.push_back({frame.header + skip, sizeof(frame.header) - skip});
-      skip = 0;
-    } else {
-      skip -= sizeof(frame.header);
-    }
-    if (!zerocopy && frame.size > skip) {
-      iov_.push_back({const_cast<uint8_t*>(frame.payload.get()) + skip,
-                      frame.size - skip});
-    }
-    if (zerocopy) break;  // its payload goes out pinned next submission
-  }
-  out.iov = std::span<const iovec>(iov_.data(), iov_.size());
-  return out;
-}
-
-void FrameWriter::CommitStaged(size_t bytes, bool zerocopy) noexcept {
-  bytes_written_ += bytes;
-  size_t remaining = bytes;
-  while (remaining > 0 && !staged_.empty()) {
-    PendingFrame& front = staged_.front();
-    const size_t wire = sizeof(front.header) + front.size;
-    const size_t take = std::min(remaining, wire - front.offset);
-    front.offset += take;
-    remaining -= take;
-    if (front.offset == wire) {
-      if (zerocopy) ++zerocopy_frames_;
-      staged_.pop_front();
-      force_copy_front_ = false;  // consumed with the frame it degraded
-      ++frames_written_;
-    }
-  }
-}
-
-void FrameWriter::NoteZeroCopyReleased(bool copied) noexcept {
-  if (zc_outstanding_ > 0) --zc_outstanding_;
-  if (copied) {
-    ++copied_completions_;
-    if (zerocopy_copied_limit_ > 0 &&
-        copied_completions_ >= zerocopy_copied_limit_ && zerocopy_active_) {
-      // Same verdict as the errqueue path: the route copies anyway, so
-      // stop paying notification bookkeeping for it.
-      zerocopy_active_ = false;
-    }
-  }
-}
-
-size_t FrameWriter::CompleteZeroCopy(uint32_t lo, uint32_t hi,
-                                     bool copied) noexcept {
-  // Notification ids are sequential and complete in order, so the range
-  // [lo, hi] always covers a prefix of the in-flight queue.  The wrap-safe
-  // comparison keeps this correct past 2^32 sends.
-  size_t released = 0;
-  while (!in_flight_.empty() &&
-         static_cast<int32_t>(hi - in_flight_.front().id) >= 0) {
-    in_flight_.pop_front();
-    ++released;
-  }
-  if (copied) {
-    copied_completions_ += static_cast<uint64_t>(hi - lo) + 1;
-    if (zerocopy_copied_limit_ > 0 &&
-        copied_completions_ >= zerocopy_copied_limit_ && zerocopy_active_) {
-      // The route copies anyway (loopback always does): pinning buys
-      // nothing but completion bookkeeping, so stop paying for it.
-      zerocopy_active_ = false;
-    }
-  }
-  return released;
 }
 
 }  // namespace rsf::net

@@ -98,17 +98,6 @@ class FrameReader {
   Result<Step> Poll(TcpConnection& conn, const FrameAllocator& alloc,
                     uint32_t* length);
 
-  /// Completion-mode interface (submission backends, net/io_backend.h):
-  /// instead of the reader issuing recv syscalls, the caller stages a recv
-  /// SQE aimed at NextWindow() — the exact remaining header or payload
-  /// span, so payload bytes still land straight in the allocator's arena
-  /// (the one-copy receive) — and feeds the completed byte count to
-  /// Commit().  The allocator runs inside Commit when the header
-  /// completes, exactly as Poll invokes it.  `n` must not exceed the
-  /// window (the kernel bounds recv by the SQE length).
-  [[nodiscard]] std::span<uint8_t> NextWindow() noexcept;
-  Result<Step> Commit(size_t n, const FrameAllocator& alloc, uint32_t* length);
-
   /// Abandons any partial frame (link teardown reuse).
   void Reset() noexcept;
 
@@ -147,20 +136,6 @@ size_t SendBatchMaxFrames() noexcept;
 /// socket buffer allows, resuming mid-frame after partial writes.  Not
 /// thread-safe — confine to one loop thread (callers lock around it when a
 /// producer thread enqueues).
-///
-/// Zerocopy tier: after EnableZeroCopy(), frames whose payload is at least
-/// the threshold leave via MSG_ZEROCOPY — the kernel pins the payload
-/// pages instead of copying them, and the frame's shared payload holder is
-/// retained in an in-flight queue until the matching completion arrives on
-/// the socket error queue (the caller routes EPOLLERR to
-/// CompleteZeroCopy).  Only the payload is pinned: the 4-byte length
-/// prefix lives inside the queue node, whose storage is recycled the
-/// moment the frame pops, so headers always travel the copy path
-/// (gathered with any preceding small frames).  ENOBUFS on a pinned send
-/// is transient optmem pressure — that one send falls back to a copy and
-/// the tier stays on; EINVAL/EOPNOTSUPP and repeated
-/// SO_EE_CODE_ZEROCOPY_COPIED completions (loopback) disable the tier for
-/// the connection's lifetime.
 class FrameWriter {
  public:
   /// Queues one frame (shared payload: fan-out costs no copy).  `size` is
@@ -181,104 +156,18 @@ class FrameWriter {
   /// the caller how many queued frames will never reach the wire.
   Status Flush(TcpConnection& conn);
 
-  // ---- completion-mode interface (submission backends) ----
-  // The writer stages a batch of frames out of the queue, the link
-  // submits it as one SQE (SENDMSG for the gathered copy path, SEND_ZC
-  // for a pinned payload), and the completed byte count comes back
-  // through CommitStaged.  Staged frames live in their own deque so their
-  // header bytes and iovec array stay at stable addresses while the
-  // kernel reads them — Enqueue/eviction never touches them.
-
-  /// One staged submission: either a gathered iovec batch (headers +
-  /// copy-path payloads) or a single pinned payload for SEND_ZC.
-  struct StagedSend {
-    std::span<const iovec> iov;         // empty when zc_data is set
-    const uint8_t* zc_data = nullptr;   // pinned payload remainder
-    size_t zc_len = 0;
-    std::shared_ptr<const uint8_t[]> zc_holder;  // keep alive until NOTIF
-    [[nodiscard]] bool empty() const noexcept {
-      return iov.empty() && zc_data == nullptr;
-    }
-  };
-
-  /// Stages the next submission.  Pulls up to the adaptive gather budget
-  /// of frames from the queue (stopping after the first zerocopy-eligible
-  /// frame, whose payload must travel alone), or resumes the batch already
-  /// staged.  The returned spans stay valid until CommitStaged.  Empty
-  /// when nothing is queued.
-  StagedSend StageSubmission();
-
-  /// Accounts `bytes` of completed staged send; completed frames pop.
-  /// `zerocopy` marks a SEND_ZC data completion (counts ZeroCopyFrames).
-  void CommitStaged(size_t bytes, bool zerocopy) noexcept;
-
-  /// Degrades the staged front frame to the copy path for its next
-  /// submission (SEND_ZC came back ENOBUFS — transient pinned-page
-  /// pressure; the tier stays on for later frames).
-  void ForceCopyStagedFront() noexcept { force_copy_front_ = true; }
-
-  /// Tracks SEND_ZC submissions awaiting their notification CQE.  The
-  /// holders themselves are captured in the backend's completion entry;
-  /// these counters keep InFlightHolders() meaningful for tests and feed
-  /// the copied-completion auto-disable shared with the errqueue path.
-  void NoteZeroCopySubmitted() noexcept { ++zc_outstanding_; }
-  void NoteZeroCopyReleased(bool copied) noexcept;
-
-  /// Activates the zerocopy tier (caller has already set SO_ZEROCOPY on
-  /// the connection).  `threshold` of 0 keeps the tier off; `copied_limit`
-  /// of 0 never auto-disables.
-  void EnableZeroCopy(size_t threshold, uint64_t copied_limit) noexcept {
-    zerocopy_threshold_ = threshold;
-    zerocopy_copied_limit_ = copied_limit;
-    zerocopy_active_ = threshold > 0;
-  }
-
-  /// Releases the pinned payload holders for the completed notification-id
-  /// range [lo, hi] (TcpConnection::ZeroCopyCompletion).  Ids complete in
-  /// order, so this pops from the front of the in-flight queue.  A copied
-  /// completion counts toward the auto-disable limit: once reached the
-  /// tier turns off — the route (loopback) copies anyway, so pinning only
-  /// buys completion overhead.  Returns the number of holders released.
-  size_t CompleteZeroCopy(uint32_t lo, uint32_t hi, bool copied) noexcept;
-
-  /// Drops every pinned holder (link teardown).  Safe before completions
-  /// arrive: the kernel holds its own page references for in-flight skbs,
-  /// the holders only gate user-space reuse of the buffer.
-  void ReleaseInFlight() noexcept {
-    in_flight_.clear();
-    zc_outstanding_ = 0;
-  }
-
-  [[nodiscard]] bool HasPending() const noexcept {
-    return !pending_.empty() || !staged_.empty();
-  }
+  [[nodiscard]] bool HasPending() const noexcept { return !pending_.empty(); }
   [[nodiscard]] size_t PendingFrames() const noexcept {
-    return pending_.size() + staged_.size();
+    return pending_.size();
   }
   [[nodiscard]] uint64_t FramesWritten() const noexcept {
     return frames_written_;
   }
-  /// Total bytes the kernel has accepted (copy + zerocopy).  The link's
-  /// write-progress deadline snapshots this to tell a slow-but-moving peer
-  /// from a stalled one.
+  /// Total bytes the kernel has accepted.  The link's write-progress
+  /// deadline snapshots this to tell a slow-but-moving peer from a stalled
+  /// one.
   [[nodiscard]] uint64_t BytesWritten() const noexcept {
     return bytes_written_;
-  }
-  [[nodiscard]] bool ZeroCopyActive() const noexcept {
-    return zerocopy_active_;
-  }
-  /// Holders pinned awaiting kernel completions (tests assert lifetime).
-  /// Covers both tiers: errqueue-tracked MSG_ZEROCOPY sends and SEND_ZC
-  /// submissions awaiting notification.
-  [[nodiscard]] size_t InFlightHolders() const noexcept {
-    return in_flight_.size() + zc_outstanding_;
-  }
-  /// Frames whose payload completed through the zerocopy tier.
-  [[nodiscard]] uint64_t ZeroCopyFrames() const noexcept {
-    return zerocopy_frames_;
-  }
-  [[nodiscard]] uint64_t CopiedCompletions() const noexcept {
-    return copied_completions_;
   }
   /// Current adaptive gather budget (tests observe growth/decay).
   [[nodiscard]] size_t GatherBudget() const noexcept { return gather_budget_; }
@@ -291,37 +180,13 @@ class FrameWriter {
     size_t offset = 0;  // bytes of (header + payload) already written
   };
 
-  /// One zerocopy send that left bytes: the sequential notification id the
-  /// kernel assigned it, plus the payload holder it pinned.  A large frame
-  /// that needed several sends appears once per send — same holder, rising
-  /// ids — and the buffer frees only when the last entry releases.
-  struct InFlightSend {
-    uint32_t id = 0;
-    std::shared_ptr<const uint8_t[]> holder;
-  };
-
-  [[nodiscard]] bool ZeroCopyEligible(const PendingFrame& frame)
-      const noexcept {
-    return zerocopy_active_ && frame.size >= zerocopy_threshold_;
-  }
-  Status FlushZeroCopyPayload(TcpConnection& conn, bool* blocked);
   void AdaptGatherBudget() noexcept;
 
   std::deque<PendingFrame> pending_;
-  std::deque<PendingFrame> staged_;  // completion-mode: frames in flight
-  std::deque<InFlightSend> in_flight_;
-  size_t zc_outstanding_ = 0;    // SEND_ZC notifications pending
-  bool force_copy_front_ = false;
   std::vector<iovec> iov_;  // reused gather scratch (grows with the budget)
   uint64_t frames_written_ = 0;
   uint64_t bytes_written_ = 0;
-  uint64_t zerocopy_frames_ = 0;
-  uint64_t copied_completions_ = 0;
-  uint64_t zerocopy_copied_limit_ = 0;
-  size_t zerocopy_threshold_ = 0;
   size_t gather_budget_ = kGatherFramesMin;
-  uint32_t next_zerocopy_id_ = 0;
-  bool zerocopy_active_ = false;
 };
 
 }  // namespace rsf::net

@@ -1,9 +1,7 @@
 #include "net/link.h"
 
-#include <limits.h>
 #include <sys/socket.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -24,10 +22,7 @@ uint64_t WriteTimeoutNanos() noexcept {
 }
 
 Link::Link(EventLoop* loop, Options options, Callbacks callbacks)
-    : loop_(loop),
-      options_(options),
-      callbacks_(std::move(callbacks)),
-      submit_mode_(loop->io_backend()->SupportsSubmission()) {
+    : loop_(loop), options_(options), callbacks_(std::move(callbacks)) {
   // Counted at construction, not registration, so a dial burst spreads
   // across the pool before any of the links finish binding.
   loop_->NoteLinkBound();
@@ -85,7 +80,6 @@ void Link::StartServerOnLoop() {
   if (auto s = ApplyTransportSocketOptions(conn_); !s.ok()) {
     RSF_WARN("link: socket options failed: %s", s.message().c_str());
   }
-  SetupZeroCopy();
   Register();
 }
 
@@ -98,7 +92,6 @@ void Link::StartClientOnLoop(bool in_progress) {
   if (auto s = ApplyTransportSocketOptions(conn_); !s.ok()) {
     RSF_WARN("link: socket options failed: %s", s.message().c_str());
   }
-  SetupZeroCopy();
   if (in_progress) {
     Register();
     // No cancellation handle needed: the timer holds a weak_ptr and a
@@ -117,53 +110,6 @@ void Link::StartClientOnLoop(bool in_progress) {
   // handshake.
   EnterClientHandshake();
   if (state() != State::kClosed) Register();
-}
-
-void Link::SetupZeroCopy() {
-  if (options_.zerocopy_threshold == 0) return;
-  if (submit_mode_) {
-    // SEND_ZC carries its own notification CQEs — no SO_ZEROCOPY, no
-    // error-queue draining.  Enable the writer tier only when the ring
-    // actually supports the opcode.
-    if (!loop_->io_backend()->SupportsZeroCopySend()) return;
-    std::lock_guard<std::mutex> lock(write_mutex_);
-    writer_.EnableZeroCopy(options_.zerocopy_threshold,
-                           options_.zerocopy_copied_limit);
-    return;
-  }
-  if (auto s = conn_.EnableZeroCopy(); !s.ok()) {
-    // Pre-4.14 kernel or odd socket family: keep the copy path, silently.
-    RSF_DEBUG("link: SO_ZEROCOPY unavailable (fd %d): %s", conn_.fd(),
-              s.message().c_str());
-    return;
-  }
-  std::lock_guard<std::mutex> lock(write_mutex_);
-  writer_.EnableZeroCopy(options_.zerocopy_threshold,
-                         options_.zerocopy_copied_limit);
-}
-
-bool Link::DrainErrorQueue() {
-  // EPOLLERR stays raised while the error queue is non-empty (it is
-  // level-triggered and unmaskable), so drain to EAGAIN or we busy-loop.
-  // Entries are zerocopy completions — each releases a range of pinned
-  // payload holders.  A plain socket error (ECONNRESET) does not queue
-  // completion records; the queue reads empty and the subsequent
-  // read/write syscall surfaces the errno and closes the link.
-  for (;;) {
-    TcpConnection::ZeroCopyCompletion completion;
-    auto more = conn_.PollErrorQueue(&completion);
-    if (!more.ok()) {
-      CloseOnLoop(true);
-      return false;
-    }
-    if (!*more) return true;
-    std::lock_guard<std::mutex> lock(write_mutex_);
-    writer_.CompleteZeroCopy(completion.lo, completion.hi, completion.copied);
-    zerocopy_frames_.store(writer_.ZeroCopyFrames(),
-                           std::memory_order_relaxed);
-    zerocopy_copied_.store(writer_.CopiedCompletions(),
-                           std::memory_order_relaxed);
-  }
 }
 
 void Link::MaybeArmWriteDeadline() {
@@ -196,8 +142,8 @@ void Link::OnWriteDeadline(uint64_t bytes_snapshot) {
   if (!pending) return;  // queue drained since arming — all good
   if (written == bytes_snapshot) {
     // The peer accepted nothing for a full period: it stopped reading.
-    // Close so queued frames and pinned zerocopy holders stop accruing;
-    // the owner counts the stranded frames as drops.
+    // Close so queued frames stop accruing; the owner counts the stranded
+    // frames as drops.
     RSF_WARN("link: no write progress in %llu ms with frames queued; "
              "closing (fd %d)",
              static_cast<unsigned long long>(options_.write_timeout_nanos /
@@ -218,19 +164,6 @@ void Link::Register() {
 }
 
 uint32_t Link::CurrentInterest() {
-  if (submit_mode_) {
-    // Sends always travel as submissions and established-state receives as
-    // recv SQEs; readiness is only needed to resolve the connect and to
-    // drive the (deliberately readiness-shaped) handshake exchange.
-    switch (state()) {
-      case State::kConnecting:
-        return kEventWritable;
-      case State::kHandshaking:
-        return kEventReadable;
-      default:
-        return 0;
-    }
-  }
   bool write_pending;
   {
     std::lock_guard<std::mutex> lock(write_mutex_);
@@ -260,11 +193,6 @@ void Link::UpdateInterest() {
 
 void Link::OnEvent(uint32_t events) {
   if (state() == State::kClosed) return;
-  if (events & kEventError) {
-    // Zerocopy completions arrive as EPOLLERR; drain before read/write so
-    // a completions-only event cannot spin the loop.
-    if (!DrainErrorQueue()) return;
-  }
   if (events & kEventWritable) {
     if (state() == State::kConnecting) {
       ResolveConnect();
@@ -274,15 +202,7 @@ void Link::OnEvent(uint32_t events) {
   }
   if (state() == State::kClosed) return;
   if (events & kEventReadable) {
-    if (submit_mode_) {
-      // Only the handshake reads by readiness here; in kEstablished the
-      // recv SQE owns the socket and a stale single-shot poll completion
-      // (armed during the handshake, reaped after the transition) must not
-      // race it with a second reader.
-      if (state() == State::kHandshaking) HandshakeReadable();
-      // Bytes buffered behind the handshake reply are picked up by the
-      // first recv SQE — EnterEstablished arms it before returning.
-    } else if (state() == State::kEstablished && paused_) {
+    if (state() == State::kEstablished && paused_) {
       // Read interest is off, so this is an EPOLLERR/HUP fold-in: peek for
       // EOF without consuming frame bytes the resume will want.
       PeekForEof();
@@ -374,11 +294,6 @@ void Link::EnterEstablished() {
   if (callbacks_.on_established) callbacks_.on_established(shared_from_this());
   if (state() == State::kClosed) return;  // on_established may close
   FlushWriter();
-  // Completion-mode receive starts here: the first recv SQE also collects
-  // any bytes the peer sent right behind its handshake reply.
-  if (submit_mode_ && state() == State::kEstablished && !paused_) {
-    ArmReceive();
-  }
 }
 
 void Link::ReadEstablished() {
@@ -449,10 +364,6 @@ void Link::FlushOnLoop() {
 }
 
 void Link::FlushWriter() {
-  if (submit_mode_) {
-    PumpSend();
-    return;
-  }
   Status status;
   bool pending;
   {
@@ -460,8 +371,6 @@ void Link::FlushWriter() {
     status = writer_.Flush(conn_);
     pending = writer_.HasPending();
     sent_.store(writer_.FramesWritten(), std::memory_order_relaxed);
-    zerocopy_frames_.store(writer_.ZeroCopyFrames(),
-                           std::memory_order_relaxed);
   }
   if (!status.ok()) {
     CloseOnLoop(true);
@@ -474,214 +383,6 @@ void Link::FlushWriter() {
   if (pending) MaybeArmWriteDeadline();
 }
 
-void Link::ArmReceive() {
-  if (recv_armed_ || state() != State::kEstablished || paused_) return;
-  void* buf;
-  size_t len;
-  int flags;
-  if (callbacks_.on_frame) {
-    // Aim the SQE at the reader's exact remaining window (header bytes,
-    // then the allocator's arena pointer) — the one-copy receive survives
-    // the backend swap.  MSG_WAITALL lets the kernel accumulate the whole
-    // window before completing, so a frame costs two CQEs (header,
-    // payload) instead of one per skb.
-    const std::span<uint8_t> window = reader_.NextWindow();
-    buf = window.data();
-    len = window.size();
-    flags = MSG_WAITALL;
-  } else {
-    // Drain-and-discard mode (publisher side): any completion is either
-    // junk to drop or EOF.
-    if (discard_buf_.empty()) discard_buf_.resize(4096);
-    buf = discard_buf_.data();
-    len = discard_buf_.size();
-    flags = 0;
-  }
-  recv_armed_ = loop_->io_backend()->SubmitRecv(
-      conn_.fd(), buf, len, flags,
-      [self = shared_from_this()](int32_t res, uint32_t) {
-        self->OnRecvCqe(res);
-      });
-  if (!recv_armed_) CloseOnLoop(true);
-}
-
-void Link::OnRecvCqe(int32_t res) {
-  recv_armed_ = false;
-  if (state() == State::kClosed) return;
-  if (res == 0) {  // orderly EOF
-    CloseOnLoop(true);
-    return;
-  }
-  if (res < 0) {
-    if (res == -EINTR || res == -EAGAIN || res == -ENOBUFS) {
-      ArmReceive();  // transient — re-stage the same window
-      return;
-    }
-    if (res == -ECANCELED) return;  // Del cancelled us mid-teardown
-    RSF_DEBUG("link: recv completion failed: %s", std::strerror(-res));
-    CloseOnLoop(true);
-    return;
-  }
-  if (!callbacks_.on_frame) {
-    ArmReceive();  // discarded
-    return;
-  }
-  // MSG_WAITALL can still complete short (signal, peer close mid-frame);
-  // Commit accumulates and reports kNeedMore, and the re-arm below stages
-  // the shrunken window.
-  uint32_t length = 0;
-  auto step = reader_.Commit(static_cast<size_t>(res), callbacks_.alloc,
-                             &length);
-  if (!step.ok()) {
-    CloseOnLoop(true);
-    return;
-  }
-  if (*step == FrameReader::Step::kFrame) {
-    received_.fetch_add(1, std::memory_order_relaxed);
-    callbacks_.on_frame(length);  // may pause or close the link
-  }
-  if (state() == State::kEstablished && !paused_) ArmReceive();
-}
-
-void Link::PumpSend() {
-  if (send_inflight_) return;
-  const State s = state();
-  if (s == State::kClosed || s == State::kConnecting) return;
-  FrameWriter::StagedSend staged;
-  {
-    std::lock_guard<std::mutex> lock(write_mutex_);
-    staged = writer_.StageSubmission();
-  }
-  if (staged.empty()) {
-    if (s == State::kDraining) CloseOnLoop(true);
-    return;
-  }
-  IoBackend* backend = loop_->io_backend();
-  bool ok;
-  if (staged.zc_data != nullptr) {
-    {
-      std::lock_guard<std::mutex> lock(write_mutex_);
-      writer_.NoteZeroCopySubmitted();
-    }
-    // The payload holder rides in the completion closure: the backend
-    // keeps it pinned until the notification CQE (F_NOTIF) erases the
-    // entry — the submission-tier equivalent of the errqueue in-flight
-    // queue.
-    ok = backend->SubmitSendZc(
-        conn_.fd(), staged.zc_data, staged.zc_len,
-        [self = shared_from_this(), holder = staged.zc_holder](
-            int32_t res, uint32_t flags) { self->OnSendZcCqe(res, flags); });
-  } else {
-    send_hdr_ = msghdr{};
-    send_hdr_.msg_iov = const_cast<iovec*>(staged.iov.data());
-    send_hdr_.msg_iovlen =
-        std::min<size_t>(staged.iov.size(), static_cast<size_t>(IOV_MAX));
-    ok = backend->SubmitSendMsg(
-        conn_.fd(), &send_hdr_,
-        [self = shared_from_this()](int32_t res, uint32_t) {
-          self->OnSendCqe(res);
-        });
-  }
-  if (!ok) {
-    CloseOnLoop(true);
-    return;
-  }
-  send_inflight_ = true;
-  MaybeArmWriteDeadline();
-}
-
-void Link::OnSendCqe(int32_t res) {
-  send_inflight_ = false;
-  if (state() == State::kClosed) return;
-  if (res < 0) {
-    if (res == -EINTR || res == -EAGAIN) {
-      PumpSend();  // restage the same batch
-      return;
-    }
-    if (res == -ECANCELED) return;
-    RSF_DEBUG("link: send completion failed: %s", std::strerror(-res));
-    CloseOnLoop(true);
-    return;
-  }
-  bool pending;
-  {
-    std::lock_guard<std::mutex> lock(write_mutex_);
-    writer_.CommitStaged(static_cast<size_t>(res), false);
-    pending = writer_.HasPending();
-    sent_.store(writer_.FramesWritten(), std::memory_order_relaxed);
-  }
-  if (pending) {
-    PumpSend();  // a short send resumes mid-frame; more frames keep going
-    return;
-  }
-  if (state() == State::kDraining) CloseOnLoop(true);
-}
-
-void Link::OnSendZcCqe(int32_t res, uint32_t flags) {
-  if (flags & kCompletionNotif) {
-    // Notification CQE: the kernel released the pinned pages.  res carries
-    // only the copied-fallback bit (loopback copies anyway); enough of
-    // them auto-disables the tier, same policy as the errqueue path.
-    std::lock_guard<std::mutex> lock(write_mutex_);
-    writer_.NoteZeroCopyReleased((flags & kCompletionZcCopied) != 0);
-    zerocopy_copied_.store(writer_.CopiedCompletions(),
-                           std::memory_order_relaxed);
-    return;
-  }
-  // Data CQE (kCompletionMore set when a notification will follow).
-  send_inflight_ = false;
-  const bool notif_follows = (flags & kCompletionMore) != 0;
-  if (state() == State::kClosed) return;
-  if (res < 0) {
-    if (!notif_follows) {
-      // Errored before pinning anything: no notification will arrive.
-      std::lock_guard<std::mutex> lock(write_mutex_);
-      writer_.NoteZeroCopyReleased(false);
-    }
-    if (res == -ENOBUFS || res == -EINTR || res == -EAGAIN) {
-      // Transient pinned-page pressure: this frame degrades to the copy
-      // path, the tier stays on for later frames.
-      if (res == -ENOBUFS) {
-        std::lock_guard<std::mutex> lock(write_mutex_);
-        writer_.ForceCopyStagedFront();
-      }
-      PumpSend();
-      return;
-    }
-    if (res == -EINVAL || res == -EOPNOTSUPP) {
-      // The socket family or route can't do SEND_ZC at all: turn the tier
-      // off for the link's lifetime and resend via the copy path.
-      {
-        std::lock_guard<std::mutex> lock(write_mutex_);
-        writer_.EnableZeroCopy(0, 0);
-      }
-      PumpSend();
-      return;
-    }
-    if (res == -ECANCELED) return;
-    RSF_DEBUG("link: SEND_ZC completion failed: %s", std::strerror(-res));
-    CloseOnLoop(true);
-    return;
-  }
-  // The socket-layer zerocopy counters normally tick inside
-  // TcpConnection::SendSome; SEND_ZC bypasses it, so feed them here.
-  NoteZeroCopySend(static_cast<uint64_t>(res));
-  bool pending;
-  {
-    std::lock_guard<std::mutex> lock(write_mutex_);
-    writer_.CommitStaged(static_cast<size_t>(res), true);
-    pending = writer_.HasPending();
-    sent_.store(writer_.FramesWritten(), std::memory_order_relaxed);
-    zerocopy_frames_.store(writer_.ZeroCopyFrames(),
-                           std::memory_order_relaxed);
-  }
-  if (pending) {
-    PumpSend();
-    return;
-  }
-  if (state() == State::kDraining) CloseOnLoop(true);
-}
-
 void Link::PauseReading() {
   if (state() != State::kEstablished || paused_) return;
   paused_ = true;
@@ -691,12 +392,6 @@ void Link::PauseReading() {
 void Link::ResumeReading() {
   if (state() != State::kEstablished || !paused_) return;
   paused_ = false;
-  if (submit_mode_) {
-    // Bytes that arrived while paused sit in the kernel buffer; the fresh
-    // recv SQE completes against them immediately.
-    ArmReceive();
-    return;
-  }
   UpdateInterest();
   // Bytes that arrived while paused are already in the kernel buffer;
   // level-triggered epoll re-reports them, so no manual read is needed.
@@ -715,17 +410,9 @@ void Link::CloseOnLoop(bool notify) {
   {
     std::lock_guard<std::mutex> lock(write_mutex_);
     stranded_.store(writer_.PendingFrames(), std::memory_order_relaxed);
-    // Completions for sends still in flight will never be read; dropping
-    // the holders now is safe because the kernel keeps its own page
-    // references for queued skbs — the holders only gate user-space
-    // buffer reuse, and the arena block frees whenever the last reference
-    // (ours or a fan-out peer's) goes.
-    writer_.ReleaseInFlight();
   }
-  // Remove BEFORE close: on a submission backend this synchronously
-  // cancels every SQE targeting the fd (and drops the completion closures,
-  // releasing any SEND_ZC payload holders they carry) — closing first
-  // would leave in-flight SQEs holding the file open.
+  // Remove BEFORE close: a closed fd number may be reused by the time
+  // epoll_ctl(DEL) runs.
   if (registered_) {
     loop_->Remove(conn_.fd());
     registered_ = false;
@@ -752,19 +439,7 @@ Link::Stats Link::stats() const noexcept {
   s.frames_sent = sent_.load(std::memory_order_relaxed);
   s.frames_received = received_.load(std::memory_order_relaxed);
   s.frames_stranded = stranded_.load(std::memory_order_relaxed);
-  s.zerocopy_frames = zerocopy_frames_.load(std::memory_order_relaxed);
-  s.zerocopy_copied = zerocopy_copied_.load(std::memory_order_relaxed);
   return s;
-}
-
-size_t Link::PendingZeroCopyHolders() {
-  std::lock_guard<std::mutex> lock(write_mutex_);
-  return writer_.InFlightHolders();
-}
-
-bool Link::ZeroCopyActive() {
-  std::lock_guard<std::mutex> lock(write_mutex_);
-  return writer_.ZeroCopyActive();
 }
 
 }  // namespace rsf::net

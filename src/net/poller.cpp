@@ -1,5 +1,6 @@
 #include "net/poller.h"
 
+#include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/timerfd.h>
 #include <unistd.h>
@@ -12,9 +13,23 @@
 
 #include "common/clock.h"
 #include "common/log.h"
+#include "net/io_backend.h"
+#include "net/socket.h"
 
 namespace rsf::net {
 namespace {
+
+constexpr int kMaxEvents = 64;
+
+std::atomic<uint64_t> g_epoll_waits{0};
+std::atomic<uint64_t> g_epoll_ctls{0};
+
+uint32_t ToEpollMask(uint32_t interest) noexcept {
+  uint32_t mask = 0;
+  if (interest & kEventReadable) mask |= EPOLLIN | EPOLLRDHUP;
+  if (interest & kEventWritable) mask |= EPOLLOUT;
+  return mask;
+}
 
 size_t ReactorPoolSize() {
   if (const char* env = std::getenv("RSF_REACTOR_THREADS")) {
@@ -36,40 +51,44 @@ size_t ReactorPoolSize() {
   return pool;
 }
 
-// The thread-per-connection transport was deleted in PR 4; the env knob
-// that selected it is honored only as a no-op with a warning so existing
-// launch scripts keep working.
-void WarnIfLegacyTransportRequested() {
-  if (const char* env = std::getenv("RSF_TRANSPORT")) {
-    if (std::strcmp(env, "threads") == 0) {
-      RSF_WARN(
-          "RSF_TRANSPORT=threads is deprecated: the thread-per-connection "
-          "transport was removed; using the reactor transport");
-    }
-  }
-}
-
 }  // namespace
 
-EventLoop::EventLoop() : EventLoop(ResolveIoBackendKind()) {}
+IoSyscallCounters GlobalIoCounters() noexcept {
+  IoSyscallCounters out;
+  out.epoll_waits = g_epoll_waits.load(std::memory_order_relaxed);
+  out.epoll_ctls = g_epoll_ctls.load(std::memory_order_relaxed);
+  out.sendmsg_calls = WriteSyscallCount();
+  out.recv_calls = RecvSyscallCount();
+  return out;
+}
 
-EventLoop::EventLoop(IoBackendKind kind) {
-  backend_ = MakeIoBackend(kind);
+EventLoop::EventLoop() {
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  SFM_CHECK_MSG(epoll_fd_ >= 0, "epoll_create1 failed");
   wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
   SFM_CHECK_MSG(wake_fd_ >= 0, "eventfd failed");
   timer_fd_ = ::timerfd_create(CLOCK_MONOTONIC, TFD_CLOEXEC | TFD_NONBLOCK);
   SFM_CHECK_MSG(timer_fd_ >= 0, "timerfd_create failed");
-  // Registered directly with the backend, not through Add: the wake and
-  // timer fds are loop plumbing, dispatched by fd compare in Run, and
-  // must not count toward NumHandlers.
-  SFM_CHECK(backend_->Add(wake_fd_, kEventReadable));
-  SFM_CHECK(backend_->Add(timer_fd_, kEventReadable));
+  // Registered directly with epoll, not through Add: the wake and timer
+  // fds are loop plumbing, dispatched by fd compare in Run, and must not
+  // count toward NumHandlers.
+  SFM_CHECK(EpollCtl(EPOLL_CTL_ADD, wake_fd_, kEventReadable));
+  SFM_CHECK(EpollCtl(EPOLL_CTL_ADD, timer_fd_, kEventReadable));
 }
 
 EventLoop::~EventLoop() {
   Stop();
   ::close(timer_fd_);
   ::close(wake_fd_);
+  ::close(epoll_fd_);
+}
+
+bool EventLoop::EpollCtl(int op, int fd, uint32_t interest) {
+  epoll_event event{};
+  event.events = ToEpollMask(interest);
+  event.data.fd = fd;
+  g_epoll_ctls.fetch_add(1, std::memory_order_relaxed);
+  return ::epoll_ctl(epoll_fd_, op, fd, &event) == 0;
 }
 
 void EventLoop::Start() {
@@ -213,7 +232,10 @@ void EventLoop::Add(int fd, uint32_t interest, EventCallback callback) {
   auto handler = std::make_shared<Handler>();
   handler->interest = interest;
   handler->callback = std::move(callback);
-  if (!backend_->Add(fd, interest)) return;
+  if (!EpollCtl(EPOLL_CTL_ADD, fd, interest)) {
+    RSF_WARN("epoll_ctl(ADD, %d) failed: %s", fd, std::strerror(errno));
+    return;
+  }
   handlers_[fd] = std::move(handler);
 }
 
@@ -221,14 +243,17 @@ void EventLoop::SetInterest(int fd, uint32_t interest) {
   auto it = handlers_.find(fd);
   if (it == handlers_.end()) return;
   if (it->second->interest == interest) return;
-  backend_->Mod(fd, interest);
+  if (!EpollCtl(EPOLL_CTL_MOD, fd, interest)) {
+    RSF_WARN("epoll_ctl(MOD, %d) failed: %s", fd, std::strerror(errno));
+  }
   it->second->interest = interest;
 }
 
 void EventLoop::Remove(int fd) {
   auto it = handlers_.find(fd);
   if (it == handlers_.end()) return;
-  backend_->Del(fd);
+  // The fd may already be closed (peer teardown); EBADF/ENOENT are fine.
+  EpollCtl(EPOLL_CTL_DEL, fd, 0);
   handlers_.erase(it);
 }
 
@@ -243,16 +268,19 @@ size_t EventLoop::NumTimers() const {
 }
 
 void EventLoop::Run() {
-  std::vector<ReadyEvent> events;
+  epoll_event events[kMaxEvents];
   std::vector<Task> ready;
   while (!stop_.load(std::memory_order_acquire)) {
-    events.clear();
-    // One backend turn: under uring this is where every staged SQE (all
-    // links' sends and recvs, poll re-arms) hits the kernel in a single
-    // enter, and where completion callbacks run.
-    if (!backend_->Wait(&events)) break;
-    for (const ReadyEvent& event : events) {
-      const int fd = event.fd;
+    g_epoll_waits.fetch_add(1, std::memory_order_relaxed);
+    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, -1);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      RSF_ERROR("epoll_wait failed: %s", std::strerror(errno));
+      break;
+    }
+    for (int i = 0; i < n; ++i) {
+      const int fd = events[i].data.fd;
+      const uint32_t raw = events[i].events;
       if (fd == wake_fd_) {
         uint64_t drained;
         while (::read(wake_fd_, &drained, sizeof(drained)) > 0) {
@@ -270,14 +298,15 @@ void EventLoop::Run() {
       auto it = handlers_.find(fd);
       if (it == handlers_.end()) continue;
       auto handler = it->second;  // keeps the callback alive across Remove
-      uint32_t ready_bits = event.events & (kEventReadable | kEventWritable);
-      if (event.events & kEventError) {
+      uint32_t ready_bits = 0;
+      if (raw & (EPOLLIN | EPOLLRDHUP | EPOLLPRI)) ready_bits |= kEventReadable;
+      if (raw & EPOLLOUT) ready_bits |= kEventWritable;
+      if (raw & (EPOLLERR | EPOLLHUP)) {
         // Deliver the error through whatever direction is armed so the next
-        // read/write syscall surfaces the errno, and flag it explicitly for
-        // handlers that must drain the error queue (zerocopy completions).
+        // read/write syscall surfaces the errno; with nothing armed (a
+        // paused link), through readability.
         ready_bits |= handler->interest & (kEventReadable | kEventWritable);
-        ready_bits |= kEventError;
-        if ((ready_bits & ~kEventError) == 0) ready_bits |= kEventReadable;
+        if (ready_bits == 0) ready_bits = kEventReadable;
       }
       if (ready_bits != 0) handler->callback(ready_bits);
     }
@@ -299,7 +328,6 @@ void EventLoop::Run() {
 }
 
 Reactor::Reactor() {
-  WarnIfLegacyTransportRequested();
   const size_t pool = ReactorPoolSize();
   loops_.reserve(pool);
   for (size_t i = 0; i < pool; ++i) {

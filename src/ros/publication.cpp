@@ -54,8 +54,12 @@ void Publication::Start() {
   std::weak_ptr<Publication> weak = shared_from_this();
   const int fd = listener_.fd();
   loop_->RunInLoop([weak, fd, loop = loop_] {
-    auto self = weak.lock();
-    if (self == nullptr) return;
+    // expired(), not lock(): a strong reference taken here could become
+    // the last one and move the destructor (and its registry unregister)
+    // onto the loop thread, after the owner's handle is already gone.  A
+    // publication that dies after this check is still safe: its Shutdown
+    // removes the fd in a RunSync queued behind this task.
+    if (weak.expired()) return;
     loop->Add(fd, rsf::net::kEventReadable, [weak](uint32_t) {
       if (auto alive = weak.lock()) alive->OnAcceptReady();
     });
@@ -203,12 +207,8 @@ void Publication::OnAcceptReady() {
     std::weak_ptr<Publication> weak = weak_from_this();
     rsf::net::Link::Options options;
     options.max_pending_frames = queue_size_;
-    // Data flows publisher→subscriber on this link, so it gets the full
-    // egress treatment: the zerocopy tier for large frames (env-tuned,
-    // resolved per link so benches can flip it between runs) and the
+    // Data flows publisher→subscriber on this link, so it gets the
     // write-progress deadline that drops a peer that stopped reading.
-    options.zerocopy_threshold = rsf::net::ZeroCopyThresholdBytes();
-    options.zerocopy_copied_limit = rsf::net::ZeroCopyCopiedLimit();
     options.write_timeout_nanos = rsf::net::WriteTimeoutNanos();
     auto ctx = std::make_shared<WireLaneContext>();
     rsf::net::Link::Callbacks callbacks;

@@ -1,57 +1,45 @@
-// Backend parameterization for the net-layer tests: every reactor/link
-// suite runs once per IoBackendKind, so the io_uring submission paths get
-// the same coverage as epoll.  Uring cases skip — with a logged reason,
-// never a silent pass — on hosts where the setup probe fails (seccomp,
-// pre-5.1 kernel).
+// Test names for the reactor/link suites.  These suites used to run once
+// per I/O backend as `Backends/<Suite>.<Case>/<backend>`; epoll is now the
+// only backend (the uring one was removed, see DESIGN.md §10), and this
+// one-value parameter keeps the epoll cases under the names they have
+// always been reported by.
 #pragma once
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <cstdint>
 #include <string>
 
-#include "net/io_backend.h"
 #include "net/poller.h"
 
 namespace rsf::net {
 
-/// Skip-only base: suites that build their own loops (LinkHarness) derive
-/// from this and read GetParam() themselves.
-class BackendSkipTest : public ::testing::TestWithParam<IoBackendKind> {
+/// The single remaining backend.  It has no printer on purpose, so gtest
+/// keeps reporting the parameter as a 1-byte object.
+enum class TestBackend : std::uint8_t { kEpoll };
+
+/// Base for suites that build their own loops (LinkHarness).
+class BackendTest : public ::testing::TestWithParam<TestBackend> {};
+
+/// A fresh, not yet started loop per test (the destructor stops it).
+class BackendLoopTest : public BackendTest {
  protected:
-  void SetUp() override {
-    if (GetParam() == IoBackendKind::kUring && !UringAvailable()) {
-      GTEST_SKIP() << "io_uring unavailable on this host (io_uring_setup "
-                      "probe failed — seccomp or pre-5.1 kernel); uring "
-                      "backend cases skipped";
-    }
-  }
+  EventLoop loop;
 };
 
-/// Skip + a ready-made loop on the parameterized backend.
-class BackendParamTest : public BackendSkipTest {
- protected:
-  void SetUp() override {
-    BackendSkipTest::SetUp();
-    if (IsSkipped()) return;
-    loop_ = std::make_unique<EventLoop>(GetParam());
-  }
-  void TearDown() override {
-    if (loop_ != nullptr) loop_->Stop();
-  }
-
-  std::unique_ptr<EventLoop> loop_;
-};
+/// Loop accounting shared by poller_test.cpp (link balancing) and
+/// link_test.cpp (transport syscall counters); instantiated in
+/// poller_test.cpp.
+class IoBackendLoop : public BackendLoopTest {};
 
 inline std::string BackendParamName(
-    const ::testing::TestParamInfo<IoBackendKind>& info) {
-  return IoBackendKindName(info.param);
+    const ::testing::TestParamInfo<TestBackend>&) {
+  return "epoll";
 }
 
-#define RSF_INSTANTIATE_BACKEND_SUITE(suite)                             \
-  INSTANTIATE_TEST_SUITE_P(Backends, suite,                              \
-                           ::testing::Values(IoBackendKind::kEpoll,      \
-                                             IoBackendKind::kUring),     \
+#define RSF_INSTANTIATE_BACKEND_SUITE(suite)                      \
+  INSTANTIATE_TEST_SUITE_P(Backends, suite,                       \
+                           ::testing::Values(TestBackend::kEpoll), \
                            BackendParamName)
 
 }  // namespace rsf::net

@@ -2,12 +2,12 @@
 // EventLoop timer facility it paces shaped deliveries with: nonblocking
 // connect success / refusal / timeout, handshakes split across partial
 // reads, close-during-handshake, server-role accept and reject (the
-// Draining flush), and timer-paced pause/resume delivery.  The CI
-// ThreadSanitizer job runs this whole binary.  Every suite is
-// parameterized over both I/O backends (backend_param.h): under uring the
-// same tests exercise the completion-mode recv/send drivers and the
-// SEND_ZC zerocopy tier instead of readiness + errqueue.
+// Draining flush), timer-paced pause/resume delivery, a peer reset with
+// frames queued, the write-progress deadline, and the transport syscall
+// counters.  The CI ThreadSanitizer job runs these suites.
 #include <gtest/gtest.h>
+
+#include <sys/socket.h>
 
 #include <atomic>
 #include <cstring>
@@ -16,8 +16,10 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/log.h"
 #include "backend_param.h"
 #include "net/framing.h"
+#include "net/io_backend.h"
 #include "net/link.h"
 #include "net/poller.h"
 #include "net/socket.h"
@@ -25,16 +27,13 @@
 namespace rsf::net {
 namespace {
 
-class LinkTest : public BackendSkipTest {};
+class LinkTest : public BackendTest {};
 RSF_INSTANTIATE_BACKEND_SUITE(LinkTest);
 
-class LinkZeroCopyTest : public BackendSkipTest {};
-RSF_INSTANTIATE_BACKEND_SUITE(LinkZeroCopyTest);
-
-class LinkWriteTimeoutTest : public BackendSkipTest {};
+class LinkWriteTimeoutTest : public BackendTest {};
 RSF_INSTANTIATE_BACKEND_SUITE(LinkWriteTimeoutTest);
 
-class LoopTimerTest : public BackendParamTest {};
+class LoopTimerTest : public BackendLoopTest {};
 RSF_INSTANTIATE_BACKEND_SUITE(LoopTimerTest);
 
 // Spins until `predicate` holds or ~5 s pass (link transitions happen on
@@ -64,7 +63,7 @@ struct LinkHarness {
   std::vector<uint8_t> last_payload;  // guarded by mutex
   std::vector<uint8_t> receive_buf;   // loop-confined
 
-  explicit LinkHarness(IoBackendKind kind) : loop(kind) { loop.Start(); }
+  LinkHarness() { loop.Start(); }
   ~LinkHarness() { loop.Stop(); }
 
   /// Client-role callbacks: sends `request`, accepts any non-empty reply,
@@ -124,7 +123,7 @@ TEST_P(LinkTest, DialSucceedsHandshakesAndReceivesFrames) {
   auto listener = TcpListener::Listen(0);
   ASSERT_TRUE(listener.ok());
 
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   std::vector<uint8_t> seen_request;
   std::thread server([&] {
     RunServerPeer(*listener, &seen_request, Bytes("welcome"),
@@ -163,7 +162,7 @@ TEST_P(LinkTest, DialRefusedReportsClosedNeverEstablished) {
     listener->Close();
   }
 
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   auto link = Link::Dial("127.0.0.1", dead_port, &harness.loop,
                          Link::Options{},
                          harness.ClientCallbacks(Bytes("hello")));
@@ -177,7 +176,7 @@ TEST_P(LinkTest, DialToBlackholePeerTimesOut) {
   // until the link's own timer fires (the case under test) or fails fast
   // with EHOSTUNREACH/ENETUNREACH in constrained sandboxes — both must
   // surface as on_closed with no establish.
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   Link::Options options;
   options.connect_timeout_nanos = 200'000'000;  // 200 ms
   auto link = Link::Dial("192.0.2.1", 9, &harness.loop, options,
@@ -191,7 +190,7 @@ TEST_P(LinkTest, HandshakeReplySplitAcrossPartialReadsStillEstablishes) {
   auto listener = TcpListener::Listen(0);
   ASSERT_TRUE(listener.ok());
 
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   std::thread server([&] {
     auto conn = listener->Accept();
     ASSERT_TRUE(conn.ok());
@@ -232,7 +231,7 @@ TEST_P(LinkTest, PeerCloseDuringHandshakeClosesLink) {
   auto listener = TcpListener::Listen(0);
   ASSERT_TRUE(listener.ok());
 
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   std::thread server([&] {
     auto conn = listener->Accept();
     ASSERT_TRUE(conn.ok());
@@ -263,7 +262,7 @@ TEST_P(LinkTest, ServerRoleAcceptsHandshakeAndSendsFrames) {
   auto listener = TcpListener::Listen(0);
   ASSERT_TRUE(listener.ok());
 
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   std::shared_ptr<Link> server_link;
   std::mutex link_mutex;
 
@@ -336,7 +335,7 @@ TEST_P(LinkTest, ServerRoleRejectionFlushesErrorReplyThenCloses) {
   auto listener = TcpListener::Listen(0);
   ASSERT_TRUE(listener.ok());
 
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   std::thread client_thread([&] {
     auto conn = TcpConnection::Connect("127.0.0.1", listener->port());
     ASSERT_TRUE(conn.ok());
@@ -384,7 +383,7 @@ TEST_P(LinkTest, TimerPacedPauseResumeDelaysDelivery) {
   auto listener = TcpListener::Listen(0);
   ASSERT_TRUE(listener.ok());
 
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   std::shared_ptr<Link> client_link;
   std::mutex link_mutex;
   constexpr uint64_t kGapNanos = 20'000'000;
@@ -430,43 +429,6 @@ TEST_P(LinkTest, TimerPacedPauseResumeDelaysDelivery) {
   link->CloseSync();
 }
 
-/// Accepts one connection, performs the server-side handshake, then reads
-/// `expect_frames` app frames, checking each payload against `expected`.
-/// Signals `done` when finished and holds the socket open until `release`.
-void RunReadingClientPeer(uint16_t port, int expect_frames,
-                          const std::vector<uint8_t>& expected,
-                          std::atomic<bool>& done,
-                          std::atomic<bool>& release) {
-  auto conn = TcpConnection::Connect("127.0.0.1", port);
-  ASSERT_TRUE(conn.ok());
-  ASSERT_TRUE(WriteFrame(*conn, Bytes("subscribe-me")).ok());
-  std::vector<uint8_t> buf;
-  uint32_t length = 0;
-  ASSERT_TRUE(ReadFrame(
-                  *conn,
-                  [&](uint32_t len) {
-                    buf.resize(len == 0 ? 1 : len);
-                    return buf.data();
-                  },
-                  &length)
-                  .ok());
-  for (int i = 0; i < expect_frames; ++i) {
-    ASSERT_TRUE(ReadFrame(
-                    *conn,
-                    [&](uint32_t len) {
-                      buf.resize(len == 0 ? 1 : len);
-                      return buf.data();
-                    },
-                    &length)
-                    .ok());
-    ASSERT_EQ(length, expected.size()) << "frame " << i;
-    buf.resize(length);
-    EXPECT_EQ(buf, expected) << "frame " << i;
-  }
-  done.store(true);
-  while (!release.load()) SleepForNanos(1'000'000);
-}
-
 std::vector<uint8_t> PatternPayload(size_t size) {
   std::vector<uint8_t> payload(size);
   for (size_t i = 0; i < size; ++i) {
@@ -497,121 +459,6 @@ Link::Callbacks AcceptingServerCallbacks(LinkHarness& harness) {
   return callbacks;
 }
 
-TEST_P(LinkZeroCopyTest, CompletionsReleaseHoldersInOrderAndBytesArriveIntact) {
-  // Above-threshold frames leave via MSG_ZEROCOPY: each send pins the
-  // payload holder until the kernel's completion releases it.  Loopback
-  // reports every completion as COPIED; copied_limit 0 keeps the tier on
-  // anyway so this test exercises the full completion path.  The peer
-  // byte-checks every frame — the stream must interleave copied headers
-  // and pinned payloads without corruption.
-  auto listener = TcpListener::Listen(0);
-  ASSERT_TRUE(listener.ok());
-
-  LinkHarness harness(GetParam());
-  const auto payload = PatternPayload(256 * 1024);  // > SO_SNDBUF: partial sends
-  constexpr int kFrames = 3;
-  std::atomic<bool> peer_done{false};
-  std::atomic<bool> release_peer{false};
-  std::thread client([&] {
-    RunReadingClientPeer(listener->port(), kFrames, payload, peer_done,
-                         release_peer);
-  });
-
-  auto conn = listener->Accept();
-  ASSERT_TRUE(conn.ok());
-  Link::Options options;
-  options.zerocopy_threshold = 64 * 1024;
-  options.zerocopy_copied_limit = 0;  // never auto-disable
-  auto link = Link::Accepted(*std::move(conn), &harness.loop, options,
-                             AcceptingServerCallbacks(harness));
-  ASSERT_TRUE(WaitFor([&] { return harness.established.load() == 1; }));
-  ASSERT_TRUE(link->ZeroCopyActive());
-
-  const uint64_t zc_sends_before = ZeroCopySendCount();
-  auto buffer = SharedCopy(payload);
-  std::weak_ptr<uint8_t[]> weak = buffer;
-  for (int i = 0; i < kFrames; ++i) {
-    EXPECT_FALSE(
-        link->EnqueueFrame(buffer, static_cast<uint32_t>(payload.size())));
-  }
-  buffer.reset();
-  harness.loop.RunInLoop([link] { link->FlushOnLoop(); });
-
-  ASSERT_TRUE(WaitFor([&] { return peer_done.load(); }));
-  // Completions drain on EPOLLERR; once all are in, every pinned holder is
-  // released and the payload (whose only other refs were the queue's) dies.
-  ASSERT_TRUE(WaitFor([&] { return link->PendingZeroCopyHolders() == 0; }));
-  ASSERT_TRUE(WaitFor([&] { return weak.expired(); }));
-
-  const auto stats = link->stats();
-  // +1: the handshake reply frame flows through the same writer.
-  EXPECT_EQ(stats.frames_sent, static_cast<uint64_t>(kFrames) + 1);
-  EXPECT_EQ(stats.zerocopy_frames, static_cast<uint64_t>(kFrames));
-  EXPECT_GT(stats.zerocopy_copied, 0u);  // loopback always reports copied
-  EXPECT_GT(ZeroCopySendCount(), zc_sends_before);
-  EXPECT_TRUE(link->ZeroCopyActive());  // limit 0: copied never disables
-
-  release_peer.store(true);
-  client.join();
-  link->CloseSync();
-}
-
-TEST_P(LinkZeroCopyTest, CopiedCompletionsAutoDisableTheTier) {
-  // Loopback can never do true zerocopy — the kernel copies and flags the
-  // completion SO_EE_CODE_ZEROCOPY_COPIED.  After copied_limit such
-  // completions the link must stop paying for pinning and revert to the
-  // plain copy path, with frames still arriving intact throughout.
-  auto listener = TcpListener::Listen(0);
-  ASSERT_TRUE(listener.ok());
-
-  LinkHarness harness(GetParam());
-  const auto payload = PatternPayload(96 * 1024);
-  constexpr int kFrames = 6;
-  std::atomic<bool> peer_done{false};
-  std::atomic<bool> release_peer{false};
-  std::thread client([&] {
-    RunReadingClientPeer(listener->port(), kFrames, payload, peer_done,
-                         release_peer);
-  });
-
-  auto conn = listener->Accept();
-  ASSERT_TRUE(conn.ok());
-  Link::Options options;
-  options.zerocopy_threshold = 64 * 1024;
-  options.zerocopy_copied_limit = 1;  // first copied completion disables
-  auto link = Link::Accepted(*std::move(conn), &harness.loop, options,
-                             AcceptingServerCallbacks(harness));
-  ASSERT_TRUE(WaitFor([&] { return harness.established.load() == 1; }));
-
-  for (int i = 0; i < kFrames; ++i) {
-    auto buffer = SharedCopy(payload);
-    EXPECT_FALSE(link->EnqueueFrame(std::move(buffer),
-                                    static_cast<uint32_t>(payload.size())));
-    harness.loop.RunInLoop([link] { link->FlushOnLoop(); });
-    // One frame at a time so completions (and the disable) land between
-    // sends rather than after the whole burst.  +1: the handshake reply
-    // frame flows through the same writer.
-    ASSERT_TRUE(WaitFor([&] {
-      return link->stats().frames_sent == static_cast<uint64_t>(i + 2);
-    }));
-  }
-
-  ASSERT_TRUE(WaitFor([&] { return peer_done.load(); }));
-  ASSERT_TRUE(WaitFor([&] { return !link->ZeroCopyActive(); }));
-  const auto stats = link->stats();
-  EXPECT_EQ(stats.frames_sent, static_cast<uint64_t>(kFrames) + 1);
-  EXPECT_GT(stats.zerocopy_copied, 0u);
-  // At least the first frame went out pinned; after the disable the rest
-  // travelled the copy path, so not every frame is a zerocopy frame.
-  EXPECT_GE(stats.zerocopy_frames, 1u);
-  EXPECT_LT(stats.zerocopy_frames, static_cast<uint64_t>(kFrames));
-  ASSERT_TRUE(WaitFor([&] { return link->PendingZeroCopyHolders() == 0; }));
-
-  release_peer.store(true);
-  client.join();
-  link->CloseSync();
-}
-
 TEST_P(LinkWriteTimeoutTest, StalledPeerClosesLinkAndStrandsFrames) {
   // A peer that handshakes and then never reads again: the socket buffers
   // fill, the writer stops making progress, and the write-progress
@@ -620,7 +467,7 @@ TEST_P(LinkWriteTimeoutTest, StalledPeerClosesLinkAndStrandsFrames) {
   auto listener = TcpListener::Listen(0);
   ASSERT_TRUE(listener.ok());
 
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   std::atomic<bool> release_peer{false};
   std::thread client([&] {
     auto conn = TcpConnection::Connect("127.0.0.1", listener->port());
@@ -665,8 +512,164 @@ TEST_P(LinkWriteTimeoutTest, StalledPeerClosesLinkAndStrandsFrames) {
   client.join();
 }
 
+TEST_P(LinkTest, PeerResetWithFramesQueuedClosesOnceAndStrandsThem) {
+  // An established publisher-side link with frames queued behind a full
+  // socket, then the peer aborts (SO_LINGER {1, 0} turns close into a
+  // RST).  The reset reaches the loop as EPOLLERR|EPOLLHUP folded into the
+  // armed directions: the link must close exactly once, count every frame
+  // still queued as stranded, and leave the loop's handler table as it
+  // found it.
+  auto listener = TcpListener::Listen(0);
+  ASSERT_TRUE(listener.ok());
+  LinkHarness harness;
+  size_t handlers_before = 0;
+  harness.loop.RunSync([&] { handlers_before = harness.loop.NumHandlers(); });
+
+  auto peer = TcpConnection::Connect("127.0.0.1", listener->port());
+  ASSERT_TRUE(peer.ok());
+  auto conn = listener->Accept();
+  ASSERT_TRUE(conn.ok());
+  auto link = Link::Accepted(*std::move(conn), &harness.loop, Link::Options{},
+                             AcceptingServerCallbacks(harness));
+  ASSERT_TRUE(WriteFrame(*peer, Bytes("subscribe-me")).ok());
+  std::vector<uint8_t> reply;
+  uint32_t length = 0;
+  ASSERT_TRUE(ReadFrame(
+                  *peer,
+                  [&](uint32_t len) {
+                    reply.resize(len == 0 ? 1 : len);
+                    return reply.data();
+                  },
+                  &length)
+                  .ok());
+  ASSERT_TRUE(WaitFor([&] { return harness.established.load() == 1; }));
+
+  // 4 MiB against ~1 MiB of kernel buffering: most frames stay queued
+  // because the peer never reads.
+  const auto payload = PatternPayload(128 * 1024);
+  constexpr int kFrames = 32;
+  for (int i = 0; i < kFrames; ++i) {
+    EXPECT_FALSE(link->EnqueueFrame(SharedCopy(payload),
+                                    static_cast<uint32_t>(payload.size())));
+  }
+  harness.loop.RunInLoop([link] { link->FlushOnLoop(); });
+  // +1: the handshake reply went through the same writer.
+  ASSERT_TRUE(WaitFor([&] { return link->stats().frames_sent >= 2; }));
+  SleepForNanos(50'000'000);  // let the writer fill the socket and stall
+  ASSERT_EQ(harness.closed.load(), 0);
+
+  const linger abort_on_close{1, 0};
+  ASSERT_EQ(::setsockopt(peer->fd(), SOL_SOCKET, SO_LINGER, &abort_on_close,
+                         sizeof(abort_on_close)),
+            0);
+  peer->Close();
+
+  ASSERT_TRUE(WaitFor([&] { return harness.closed.load() >= 1; }));
+  EXPECT_EQ(link->state(), Link::State::kClosed);
+  // A late flush kick must not reopen or re-close the link.
+  harness.loop.RunSync([link] { link->FlushOnLoop(); });
+  SleepForNanos(50'000'000);
+  EXPECT_EQ(harness.closed.load(), 1);
+
+  const auto stats = link->stats();
+  EXPECT_EQ(stats.frames_enqueued, static_cast<uint64_t>(kFrames));
+  EXPECT_GT(stats.frames_stranded, 0u);
+  EXPECT_EQ(stats.frames_stranded,
+            stats.frames_enqueued + 1 - stats.frames_sent);
+  size_t handlers_after = 0;
+  harness.loop.RunSync([&] { handlers_after = harness.loop.NumHandlers(); });
+  EXPECT_EQ(handlers_after, handlers_before);
+}
+
+TEST_P(IoBackendLoop, SubmissionBatchingCutsSyscallsPerDelivery) {
+  // The transport syscall counters (net/io_backend.h) that the benches
+  // divide by deliveries: 32 sender→receiver pairs on one loop, several
+  // stop-and-wait rounds, counters differenced around the steady state.
+  // Every delivery pays at least one sendmsg and one recv, plus a share of
+  // the epoll_waits that woke the loop.
+  // (The name dates from the removed uring backend, whose submission
+  // batching this test used to compare against epoll.)
+  constexpr int kPairs = 32;
+  constexpr int kRounds = 20;
+  constexpr uint32_t kPayload = 512;
+
+  LinkHarness harness;
+  EventLoop& loop = harness.loop;
+  auto listener = TcpListener::Listen(0);
+  ASSERT_TRUE(listener.ok());
+
+  struct LinkPair {
+    std::shared_ptr<Link> sender;
+    std::shared_ptr<Link> receiver;
+    std::atomic<int> received{0};
+    std::vector<uint8_t> buf;  // loop-confined
+  };
+  std::vector<std::unique_ptr<LinkPair>> pairs;
+  for (int i = 0; i < kPairs; ++i) {
+    auto pair = std::make_unique<LinkPair>();
+    LinkPair* raw = pair.get();
+    Link::Callbacks client_cb = harness.ClientCallbacks(Bytes("hi"));
+    client_cb.alloc = [raw](uint32_t length) {
+      raw->buf.resize(length == 0 ? 1 : length);
+      return raw->buf.data();
+    };
+    client_cb.on_frame = [raw](uint32_t) { raw->received.fetch_add(1); };
+    pair->receiver = Link::Dial("127.0.0.1", listener->port(), &loop,
+                                Link::Options{}, std::move(client_cb));
+    auto conn = listener->Accept();
+    ASSERT_TRUE(conn.ok());
+    pair->sender = Link::Accepted(*std::move(conn), &loop, Link::Options{},
+                                  AcceptingServerCallbacks(harness));
+    pairs.push_back(std::move(pair));
+  }
+  ASSERT_TRUE(
+      WaitFor([&] { return harness.established.load() == 2 * kPairs; }));
+
+  const auto run_round = [&](int round) {
+    for (auto& pair : pairs) {
+      auto payload = std::shared_ptr<uint8_t[]>(new uint8_t[kPayload]);
+      std::memset(payload.get(), round, kPayload);
+      EXPECT_FALSE(pair->sender->EnqueueFrame(std::move(payload), kPayload));
+      loop.RunInLoop([link = pair->sender] { link->FlushOnLoop(); });
+    }
+    ASSERT_TRUE(WaitFor([&] {
+      for (auto& pair : pairs) {
+        if (pair->received.load() < round + 1) return false;
+      }
+      return true;
+    }));
+  };
+  run_round(0);  // warm-up: adaptive gather state, first-frame allocations
+
+  const IoSyscallCounters before = GlobalIoCounters();
+  for (int round = 1; round < kRounds; ++round) run_round(round);
+  const IoSyscallCounters after = GlobalIoCounters();
+
+  const double deliveries = static_cast<double>(kPairs) * (kRounds - 1);
+  const double per_delivery =
+      static_cast<double>(after.TotalSyscalls() - before.TotalSyscalls()) /
+      deliveries;
+  RSF_INFO("%.2f transport syscalls per delivered frame "
+           "(epoll_wait %llu, sendmsg %llu, recv %llu)",
+           per_delivery,
+           static_cast<unsigned long long>(after.epoll_waits -
+                                           before.epoll_waits),
+           static_cast<unsigned long long>(after.sendmsg_calls -
+                                           before.sendmsg_calls),
+           static_cast<unsigned long long>(after.recv_calls -
+                                           before.recv_calls));
+  EXPECT_GT(after.sendmsg_calls, before.sendmsg_calls);
+  EXPECT_GT(after.recv_calls, before.recv_calls);
+  EXPECT_GT(after.epoll_waits, before.epoll_waits);
+  EXPECT_GE(per_delivery, 2.0);
+
+  for (auto& pair : pairs) {
+    pair->sender->CloseSync();
+    pair->receiver->CloseSync();
+  }
+}
+
 TEST_P(LoopTimerTest, RunAfterFiresOnLoopThreadInDeadlineOrder) {
-  EventLoop& loop = *loop_;
   loop.Start();
 
   std::mutex mutex;
@@ -702,7 +705,6 @@ TEST_P(LoopTimerTest, RunAfterFiresOnLoopThreadInDeadlineOrder) {
 }
 
 TEST_P(LoopTimerTest, ZeroDelayFiresPromptly) {
-  EventLoop& loop = *loop_;
   loop.Start();
   std::atomic<bool> fired{false};
   ASSERT_TRUE(loop.RunAfter(0, [&] { fired.store(true); }));
@@ -711,14 +713,12 @@ TEST_P(LoopTimerTest, ZeroDelayFiresPromptly) {
 }
 
 TEST_P(LoopTimerTest, RunAfterRefusedAfterStop) {
-  EventLoop& loop = *loop_;
   loop.Start();
   loop.Stop();
   EXPECT_FALSE(loop.RunAfter(1'000, [] {}));
 }
 
 TEST_P(LoopTimerTest, TimerReschedulingItselfDoesNotRefireInSameDrain) {
-  EventLoop& loop = *loop_;
   loop.Start();
   std::atomic<int> fired{0};
   std::function<void()> chain = [&] {

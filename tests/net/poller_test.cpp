@@ -3,9 +3,7 @@
 // RunSync teardown handshake, readiness dispatch, frames split across
 // arbitrary readiness events, mid-frame peer close, short-write resume,
 // drop-oldest eviction, and a mixed connect/disconnect stress that the CI
-// ThreadSanitizer job runs.  The loop suites are parameterized over both
-// I/O backends (backend_param.h); the FrameReader/FrameWriter suites drive
-// sockets directly and stay backend-free.
+// ThreadSanitizer job runs.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -25,11 +23,13 @@
 namespace rsf::net {
 namespace {
 
-class EventLoopBackends : public BackendParamTest {};
+class EventLoopBackends : public BackendLoopTest {};
 RSF_INSTANTIATE_BACKEND_SUITE(EventLoopBackends);
 
-class PollerStress : public BackendParamTest {};
+class PollerStress : public BackendLoopTest {};
 RSF_INSTANTIATE_BACKEND_SUITE(PollerStress);
+
+RSF_INSTANTIATE_BACKEND_SUITE(IoBackendLoop);
 
 std::pair<TcpConnection, TcpConnection> MakePair() {
   auto listener = TcpListener::Listen(0);
@@ -69,7 +69,6 @@ bool WaitFor(Predicate predicate) {
 }
 
 TEST_P(EventLoopBackends, PostRunsTaskOnLoopThread) {
-  EventLoop& loop = *loop_;
   loop.Start();
   std::atomic<bool> ran{false};
   std::thread::id loop_thread;
@@ -83,7 +82,6 @@ TEST_P(EventLoopBackends, PostRunsTaskOnLoopThread) {
 }
 
 TEST_P(EventLoopBackends, RunSyncBlocksUntilExecuted) {
-  EventLoop& loop = *loop_;
   loop.Start();
   int value = 0;
   loop.RunSync([&] { value = 42; });
@@ -95,7 +93,6 @@ TEST_P(EventLoopBackends, RunSyncBlocksUntilExecuted) {
 }
 
 TEST_P(EventLoopBackends, StopRunsEveryAcceptedTask) {
-  EventLoop& loop = *loop_;
   loop.Start();
   std::atomic<int> ran{0};
   for (int i = 0; i < 100; ++i) {
@@ -107,7 +104,6 @@ TEST_P(EventLoopBackends, StopRunsEveryAcceptedTask) {
 }
 
 TEST_P(EventLoopBackends, ReadableEventDispatches) {
-  EventLoop& loop = *loop_;
   loop.Start();
   auto [client, server] = MakePair();
   ASSERT_TRUE(server.SetNonBlocking(true).ok());
@@ -128,7 +124,6 @@ TEST_P(EventLoopBackends, ReadableEventDispatches) {
 }
 
 TEST_P(EventLoopBackends, RemoveInsideOwnCallbackIsSafe) {
-  EventLoop& loop = *loop_;
   loop.Start();
   auto [client, server] = MakePair();
   ASSERT_TRUE(server.SetNonBlocking(true).ok());
@@ -150,7 +145,6 @@ TEST_P(EventLoopBackends, RemoveInsideOwnCallbackIsSafe) {
 
 TEST_P(EventLoopBackends, ManyFdsOneThread) {
   // The reactor promise: adding links adds NO threads.
-  EventLoop& loop = *loop_;
   loop.Start();
   const size_t before = CountProcessThreads();
   std::vector<std::pair<TcpConnection, TcpConnection>> pairs;
@@ -166,6 +160,24 @@ TEST_P(EventLoopBackends, ManyFdsOneThread) {
     for (auto& [client, server] : pairs) loop.Remove(server.fd());
   });
   loop.Stop();
+}
+
+TEST_P(IoBackendLoop, ReactorAssignsLeastLoadedLoop) {
+  // Two loops, three links: the third must land on whichever loop the
+  // first close vacated — live-link counts, not blind rotation.
+  EventLoop other;
+  loop.Start();
+  other.Start();
+  EXPECT_EQ(loop.LiveLinks(), 0u);
+  loop.NoteLinkBound();
+  loop.NoteLinkBound();
+  other.NoteLinkBound();
+  EXPECT_EQ(loop.LiveLinks(), 2u);
+  EXPECT_EQ(other.LiveLinks(), 1u);
+  loop.NoteLinkClosed();
+  EXPECT_EQ(loop.LiveLinks(), 1u);
+  loop.Stop();
+  other.Stop();
 }
 
 // ---- FrameReader ----
@@ -488,7 +500,6 @@ TEST(FrameWriter, AdaptiveGatherBudgetGrowsWithDepthAndDecaysWhenShallow) {
 // ---- stress (runs under the CI ThreadSanitizer preset) ----
 
 TEST_P(PollerStress, MixedConnectDisconnectUnderLoad) {
-  EventLoop& loop = *loop_;
   loop.Start();
   auto listener = TcpListener::Listen(0);
   ASSERT_TRUE(listener.ok());

@@ -432,11 +432,9 @@ TEST_F(MiddlewareTest, SfmTcpPublishAboveThresholdIsCopyFreeEgress) {
 
   const uint64_t serialize_before = ros::shim::wire_serialize_copies.load();
   const uint64_t snapshot_before = ros::shim::wire_snapshot_copies.load();
-  const uint64_t zc_bytes_before = rsf::net::ZeroCopySendBytes();
-  const uint64_t zc_sends_before = rsf::net::ZeroCopySendCount();
 
-  // Twice the default MSG_ZEROCOPY threshold (64 KiB), so the frame payload
-  // is eligible for the pinned send tier.
+  // A large frame: the size class the removed kernel zero-copy tier used
+  // to pin (64 KiB and up).
   constexpr size_t kPayload = 128 * 1024;
   constexpr int kMessages = 4;
   for (int i = 0; i < kMessages; ++i) {
@@ -448,17 +446,12 @@ TEST_F(MiddlewareTest, SfmTcpPublishAboveThresholdIsCopyFreeEgress) {
   }
   ASSERT_TRUE(WaitFor([&] { return got.load() == kMessages; }));
 
-  // Copy-free egress, end to end: the generated serializer never ran, the
-  // stack-snapshot fallback never ran (the arena's aliased buffer pointer
-  // IS the wire payload), and at least the first above-threshold frame
-  // crossed into the kernel as pinned pages rather than a copy.  (Loopback
-  // completions report "copied", which may auto-park the tier mid-test —
-  // that changes only the kernel crossing, never these user-space counts.)
+  // Copy-free egress in user space: the generated serializer never ran
+  // and the stack-snapshot fallback never ran (the arena's aliased buffer
+  // pointer IS the wire payload).  The only copy left is the kernel's own
+  // socket-buffer copy inside sendmsg.
   EXPECT_EQ(ros::shim::wire_serialize_copies.load() - serialize_before, 0u);
   EXPECT_EQ(ros::shim::wire_snapshot_copies.load() - snapshot_before, 0u);
-  EXPECT_GE(rsf::net::ZeroCopySendBytes() - zc_bytes_before,
-            static_cast<uint64_t>(kPayload));
-  EXPECT_GT(rsf::net::ZeroCopySendCount(), zc_sends_before);
 }
 
 TEST_F(MiddlewareTest, RegularTcpReceiveReusesScratchAcrossFrames) {
