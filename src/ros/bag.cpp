@@ -8,11 +8,9 @@
 #include "common/clock.h"
 #include "common/endian.h"
 #include "net/framing.h"
-#include "net/link.h"
-#include "net/poller.h"
-#include "ros/connection_header.h"
 #include "ros/master.h"
 #include "ros/publication.h"
+#include "ros/subscription.h"
 
 namespace ros {
 namespace {
@@ -139,141 +137,68 @@ rsf::Result<std::vector<BagRecord>> BagReader::ReadAll() {
 
 // ---- TopicRecorder ----
 //
-// Type-erased subscription over client-role Links: connects like a
-// Subscription<M> but treats the payload as an opaque frame.  It handshakes
-// with datatype "*" / md5 "*", which the publisher-side validation accepts
-// (rostopic/rosbag behaviour).  The recorder spawns NO threads: each
-// publisher link dials nonblockingly, handshakes on its reactor loop, and
-// appends records from the loop's frame callback.  (Bag appends are small
-// buffered ofstream writes; they run on the loop thread, serialized across
-// links by write_mutex since one BagWriter can span topics and loops.)
+// A client of the ordinary subscription path with an opaque codec: it
+// handshakes with datatype "*" / md5 "*", which the publisher-side
+// validation accepts (rostopic/rosbag behaviour), stages each frame's raw
+// bytes in the link's reused staging buffer, and records them with the
+// type / md5sum the publisher's reply announced.  Pinned to inline TCP —
+// no in-process, shm, or multicast tier — so a record is always the wire
+// frame.  The recorder spawns NO threads: the callback runs inline on the
+// reactor loop that read the frame (bag appends are small buffered
+// ofstream writes, serialized across links by write_mutex since one
+// BagWriter can span topics and loops).
 
-struct TopicRecorder::Impl : std::enable_shared_from_this<TopicRecorder::Impl> {
-  std::string topic;
-  BagWriter* writer = nullptr;
+struct TopicRecorder::Impl {
   std::mutex write_mutex;
-  uint64_t master_id = 0;
-  std::atomic<bool> shutdown{false};
   std::atomic<uint64_t> recorded{0};
-
-  /// One recorded publisher connection.  datatype/md5 (learned from the
-  /// handshake reply) and the payload staging buffer are loop-confined.
-  struct RecordLink {
-    std::shared_ptr<rsf::net::Link> link;  // under links_mutex
-    bool removed = false;                  // under links_mutex
-    std::string datatype = "*";
-    std::string md5 = "*";
-    std::vector<uint8_t> payload;
-  };
-
-  std::mutex links_mutex;
-  std::vector<std::shared_ptr<RecordLink>> links;
-
-  /// Master-notify thread; never blocks.
-  void OnPublisher(const TopicEndpoint& endpoint) {
-    if (shutdown.load(std::memory_order_acquire)) return;
-    auto rl = std::make_shared<RecordLink>();
-    std::weak_ptr<Impl> weak = weak_from_this();
-
-    rsf::net::Link::Callbacks callbacks;
-    callbacks.make_handshake_request = [topic = topic] {
-      return EncodeConnectionHeader(
-          MakeSubscriberHeader(topic, "*", "*", "rsfbag_record"));
-    };
-    callbacks.on_handshake_reply = [rl](const uint8_t* data, uint32_t length) {
-      auto header = DecodeConnectionHeader(data, length);
-      if (!header.ok() || header->count("error") != 0) return false;
-      if (const auto it = header->find("type"); it != header->end()) {
-        rl->datatype = it->second;
-      }
-      if (const auto it = header->find("md5sum"); it != header->end()) {
-        rl->md5 = it->second;
-      }
-      return true;
-    };
-    callbacks.alloc = [rl](uint32_t length) {
-      rl->payload.resize(length == 0 ? 1 : length);
-      return rl->payload.data();
-    };
-    callbacks.on_frame = [weak, rl](uint32_t length) {
-      if (auto self = weak.lock()) self->OnFrame(*rl, length);
-    };
-    callbacks.on_closed = [weak,
-                           rl](const std::shared_ptr<rsf::net::Link>&) {
-      if (auto self = weak.lock()) self->RemoveLink(rl);
-    };
-
-    auto link = rsf::net::Link::Dial(endpoint.host, endpoint.port,
-                                     rsf::net::Reactor::Get().NextLoop(),
-                                     rsf::net::Link::Options{},
-                                     std::move(callbacks));
-    {
-      std::lock_guard<std::mutex> lock(links_mutex);
-      if (!shutdown.load(std::memory_order_acquire)) {
-        rl->link = link;
-        if (!rl->removed) links.push_back(rl);
-        return;
-      }
-    }
-    link->CloseSync();
-  }
-
-  /// Loop-thread-only: one frame arrived on a recorded link.
-  void OnFrame(const RecordLink& rl, uint32_t length) {
-    if (shutdown.load(std::memory_order_acquire)) return;
-    {
-      std::lock_guard<std::mutex> lock(write_mutex);
-      const auto now = rsf::Time::Now().ToNanos();
-      if (!writer->Write(topic, rl.datatype, rl.md5, now, rl.payload.data(),
-                         length)
-               .ok()) {
-        return;
-      }
-    }
-    recorded.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  void RemoveLink(const std::shared_ptr<RecordLink>& rl) {
-    std::lock_guard<std::mutex> lock(links_mutex);
-    rl->removed = true;
-    std::erase(links, rl);
-  }
-
-  void Shutdown() {
-    bool expected = false;
-    if (!shutdown.compare_exchange_strong(expected, true)) return;
-    master().UnregisterSubscriber(topic, master_id);
-    std::vector<std::shared_ptr<RecordLink>> snapshot;
-    {
-      std::lock_guard<std::mutex> lock(links_mutex);
-      snapshot.swap(links);
-    }
-    // Outside links_mutex_: CloseSync handshakes with the loop thread,
-    // which may be blocked in RemoveLink on that mutex.
-    for (const auto& rl : snapshot) rl->link->CloseSync();
-  }
+  std::shared_ptr<Subscription> subscription;
 };
+
+namespace {
+
+/// The opaque codec's "message" is a borrowed view of the landed frame,
+/// valid for the inline dispatch that consumes it.
+rsf::Result<std::shared_ptr<const void>> ViewFrame(const RxFrame& frame) {
+  return std::shared_ptr<const void>(std::shared_ptr<const void>(), &frame);
+}
+
+}  // namespace
 
 TopicRecorder::TopicRecorder(const std::string& topic, BagWriter* writer)
     : impl_(std::make_shared<Impl>()) {
-  impl_->topic = topic;
-  impl_->writer = writer;
-  std::weak_ptr<Impl> weak = impl_;
-  auto id = master().RegisterSubscriber(
-      topic, "*", "*", [weak](const TopicEndpoint& endpoint) {
-        if (auto impl = weak.lock()) impl->OnPublisher(endpoint);
-      });
-  SFM_CHECK_MSG(id.ok(), id.status().ToString().c_str());
-  impl_->master_id = *id;
+  SubscribeOptions options;
+  options.inline_dispatch = true;
+  options.allow_intra_process = false;
+  options.allow_shm = false;
+  options.allow_mcast = false;
+  RxCodec codec;
+  codec.decode = &ViewFrame;
+  // The callback runs on a loop thread until Shutdown returns; `impl` is
+  // owned by this recorder, whose destructor shuts the subscription down.
+  auto subscription = Subscription::Create(
+      topic, "*", "rsfbag_record", options, codec,
+      [topic, writer, impl = impl_.get()](Subscription::MessagePtr view) {
+        const auto& frame = *static_cast<const RxFrame*>(view.get());
+        std::lock_guard<std::mutex> lock(impl->write_mutex);
+        const auto now = rsf::Time::Now().ToNanos();
+        if (writer->Write(topic, frame.type, frame.md5sum, now, frame.data,
+                          frame.length)
+                .ok()) {
+          impl->recorded.fetch_add(1, std::memory_order_relaxed);
+        }
+      },
+      nullptr);
+  SFM_CHECK_MSG(subscription.ok(), subscription.status().ToString().c_str());
+  impl_->subscription = *std::move(subscription);
 }
 
-TopicRecorder::~TopicRecorder() { impl_->Shutdown(); }
+TopicRecorder::~TopicRecorder() { Shutdown(); }
 
 uint64_t TopicRecorder::recorded() const {
   return impl_->recorded.load(std::memory_order_relaxed);
 }
 
-void TopicRecorder::Shutdown() { impl_->Shutdown(); }
+void TopicRecorder::Shutdown() { impl_->subscription->Shutdown(); }
 
 rsf::Result<uint64_t> PlayBag(const std::string& path, double rate) {
   auto reader = BagReader::Open(path);

@@ -86,6 +86,11 @@ class BagReader {
 /// Subscribes to a topic (type-erased: any datatype, checksum "*") and
 /// records every frame into a writer — the `rosbag record` role.  Works for
 /// regular and SFM topics alike since both are opaque frames on the wire.
+/// It is an ordinary Subscription (subscription.h) with an opaque codec:
+/// frames stage as raw bytes and are recorded inline on the reactor loop
+/// with the type / md5sum the publisher's handshake reply announced.  It
+/// stays on inline TCP (no in-process, shm or multicast tier), so every
+/// record is the wire frame.
 class TopicRecorder {
  public:
   /// `writer` must outlive the recorder.

@@ -5,7 +5,7 @@
 // co-located endpoints do not need it: every byte a loopback socket moves
 // is a `ToWire` copy, a kernel round-trip, and a receive-arena copy that a
 // pointer hand-off avoids entirely (TZC and ROS 2's Agnocast make the same
-// observation).  At connect time a Subscription<M> that finds the
+// observation).  At connect time a Subscription that finds the
 // publisher's Publication in this process — via the registry below, keyed
 // by the (topic, port) pair the master hands out — registers a direct
 // IntraLink with it instead of dialing TCP.
@@ -53,11 +53,12 @@ enum class IntraTier : uint8_t {
   kZeroCopy,   // subscriber aliases the publisher's message (no copy at all)
 };
 
-/// Type-erased subscriber endpoint of one in-process link.  The concrete
-/// Subscription<M>::IntraLink downcasts the void pointer back to
-/// shared_ptr<const M>; type safety comes from the transport-checksum
-/// handshake performed by Publication::AddIntraLink before the link is
-/// accepted, exactly mirroring the TCPROS header exchange.
+/// Type-erased subscriber endpoint of one in-process link.  The
+/// subscription passes the void pointer on untouched; its typed callback
+/// adapter (NodeHandle::subscribe<M>) casts it back to shared_ptr<const M>.
+/// Type safety comes from the transport-checksum handshake performed by
+/// Publication::AddIntraLink before the link is accepted, exactly mirroring
+/// the TCPROS header exchange.
 class IntraLinkBase {
  public:
   virtual ~IntraLinkBase() = default;

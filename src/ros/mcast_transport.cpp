@@ -49,10 +49,6 @@ size_t McastRepairDepth() noexcept {
   return EnvCount("RSF_MCAST_REPAIR_DEPTH", 64, 4);
 }
 
-uint64_t McastNackDelayNanos() noexcept {
-  return EnvCount("RSF_MCAST_NACK_MS", 5, 1) * 1'000'000ull;
-}
-
 size_t McastEvictionLag() noexcept {
   return std::max<size_t>(4 * McastRepairDepth(), 2 * kMcastAckInterval);
 }
@@ -126,18 +122,6 @@ rsf::Result<std::shared_ptr<McastGroupSender>> McastGroupSender::Create(
   const std::string group = rsf::net::AllocateMulticastGroup();
   auto socket = rsf::net::UdpSocket::CreateMulticastSender(group, 0);
   if (!socket.ok()) return socket.status();
-  // Seed the deterministic loss shim once, so RSF_MCAST_DROP_PCT can drive
-  // whole binaries; in-process chaos tests set the atomic directly.
-  static const bool seeded = [] {
-    const char* raw = std::getenv("RSF_MCAST_DROP_PCT");
-    if (raw != nullptr && *raw != '\0') {
-      shim::mcast_drop_pct.store(
-          static_cast<uint32_t>(std::min(std::atoi(raw), 100)),
-          std::memory_order_relaxed);
-    }
-    return true;
-  }();
-  (void)seeded;
   return std::shared_ptr<McastGroupSender>(new McastGroupSender(
       group, std::move(*socket), McastRepairDepth()));
 }
@@ -414,6 +398,83 @@ void McastRxEngine::ArmTimer() {
   if (timer_armed_) return;
   timer_armed_ = true;
   hooks_.schedule(nack_delay_, [this] { OnNackTimer(); });
+}
+
+// ---- McastSubState ----
+
+rsf::Status McastSubState::Join(McastRxEngine::Hooks hooks) {
+  auto receiver = rsf::net::UdpSocket::CreateMulticastReceiver(group, port);
+  if (!receiver.ok()) return receiver.status();
+  socket = *std::move(receiver);
+  engine = std::make_unique<McastRxEngine>(base_seq, kMcastNackDelayNanos,
+                                           std::move(hooks));
+  return rsf::Status::Ok();
+}
+
+rsf::Status McastSubState::Drain() {
+  while (!broken && engine != nullptr) {
+    uint8_t header_buf[kMcastChunkHeaderSize];
+    auto peeked = socket.PeekHeader({header_buf, sizeof(header_buf)});
+    if (!peeked.ok()) return peeked.status();
+    if (*peeked == 0) break;  // drained
+    McastChunkHeader header;
+    uint8_t* dest = nullptr;
+    uint32_t expect = 0;
+    if (DecodeMcastChunkHeader(header_buf, *peeked, &header)) {
+      // Already points at the chunk's offset inside the frame's
+      // destination.
+      dest = engine->ChunkDestination(header);
+      expect = ChunkBytesAt(header.frame_len, header.index);
+    }
+    if (dest == nullptr) {
+      if (discard_buf.size() < kMcastChunkPayload) {
+        discard_buf.resize(kMcastChunkPayload);
+      }
+      dest = discard_buf.data();
+      expect = kMcastChunkPayload;
+    }
+    iovec iov[2] = {{header_buf, sizeof(header_buf)}, {dest, expect}};
+    auto got = socket.RecvScattered({iov, 2});
+    if (!got.ok()) return got.status();
+    // Commit only a datagram whose size matches its header exactly; a
+    // truncated or oversized one leaves the chunk outstanding for the
+    // repair path.
+    if (dest != discard_buf.data() && *got == kMcastChunkHeaderSize + expect) {
+      engine->CommitChunk(header);
+    }
+  }
+  return LossStormCheck();
+}
+
+rsf::Status McastSubState::Repair(uint32_t length) {
+  if (broken || engine == nullptr || length < kMcastRepairHeaderSize) {
+    return rsf::Status::Ok();
+  }
+  const uint64_t seq = rsf::LoadLE<uint64_t>(repair_buf.data());
+  engine->OnRepair(seq, repair_buf.data() + kMcastRepairHeaderSize,
+                   length - kMcastRepairHeaderSize);
+  return LossStormCheck();
+}
+
+rsf::Status McastSubState::LossStormCheck() const {
+  if (engine != nullptr && engine->abandoned() >= kMcastLeaveThreshold) {
+    return rsf::UnavailableError("loss storm: too many unrecoverable frames");
+  }
+  return rsf::Status::Ok();
+}
+
+uint64_t McastSubState::Contig() const noexcept {
+  if (engine != nullptr) return engine->contig();
+  return base_seq == 0 ? 0 : base_seq - 1;
+}
+
+void McastSubState::Teardown() {
+  if (fd_registered) {
+    loop->Remove(socket.fd());
+    fd_registered = false;
+  }
+  socket.Close();
+  engine.reset();
 }
 
 }  // namespace ros

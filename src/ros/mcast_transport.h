@@ -67,6 +67,9 @@ inline constexpr uint64_t kMcastMaxNackSpan = 1024;
 /// Total given-up messages after which a subscriber concludes the group is
 /// a loss storm for it and leaves the tier (per-subscriber TCP fallback).
 inline constexpr uint64_t kMcastLeaveThreshold = 256;
+/// Subscriber gap-detection timer: how long a hole may stay open before
+/// the engine NACKs it (again).
+inline constexpr uint64_t kMcastNackDelayNanos = 5'000'000;
 
 // ---- env knobs (re-read per call, like the shm knobs) ----
 
@@ -79,8 +82,6 @@ size_t McastMinSubs() noexcept;
 /// Publisher repair-ring depth (RSF_MCAST_REPAIR_DEPTH, default 64,
 /// floor 4).
 size_t McastRepairDepth() noexcept;
-/// Subscriber gap-detection timer (RSF_MCAST_NACK_MS, default 5ms).
-uint64_t McastNackDelayNanos() noexcept;
 /// Publishes without ack progress before a subscriber is evicted from the
 /// group: scaled off the repair depth, floored above the ack cadence so a
 /// healthy subscriber can never be evicted between its own acks.
@@ -129,8 +130,7 @@ std::shared_ptr<const uint8_t[]> EncodeMcastRepairFrame(uint64_t seq,
 class McastGroupSender {
  public:
   /// Allocates the group address, binds the sender socket (its ephemeral
-  /// local port becomes the group port), sizes the repair ring, and seeds
-  /// the loss-injection shim from RSF_MCAST_DROP_PCT if set.
+  /// local port becomes the group port), and sizes the repair ring.
   static rsf::Result<std::shared_ptr<McastGroupSender>> Create(
       const std::string& topic);
 
@@ -278,9 +278,12 @@ class McastRxEngine {
   Hooks hooks_;
 };
 
-/// Subscriber-side per-link mcast state (owned by the WireLink, loop-thread
-/// confined after the handshake) — the untyped half; the typed Subscription
-/// keeps the per-seq arena map the engine's alloc hook draws from.
+/// Subscriber side of one mcast-negotiated link (owned by the
+/// subscription's WireLink, loop-thread confined after the handshake): the
+/// joined group socket, its loop registration, and the reassembly engine.
+/// The engine's hooks — where a frame lands, what a completed frame
+/// becomes — belong to the subscription, which also keeps the per-seq
+/// frame destinations.
 struct McastSubState {
   bool negotiated = false;
   /// Join failure or loss storm broke the tier for this link; datagrams
@@ -295,6 +298,27 @@ struct McastSubState {
   std::vector<uint8_t> repair_buf;   // staging for inbound tag-4 frames
   std::vector<uint8_t> discard_buf;  // sink for datagrams the engine rejects
   std::unique_ptr<McastRxEngine> engine;
+
+  /// Joins the granted group: receiver socket plus the reassembly engine.
+  /// The caller registers socket.fd() on `loop` and sets fd_registered.
+  rsf::Status Join(McastRxEngine::Hooks hooks);
+  /// Drains the group socket: PeekHeader resolves each datagram's
+  /// destination, RecvScattered lands the payload straight there (one
+  /// kernel→destination copy), CommitChunk advances the engine.  Datagrams
+  /// the engine rejects (stale seq, duplicate chunk, malformed header) are
+  /// consumed into a discard sink.  An error means "leave the tier": a
+  /// socket failure or a loss storm.
+  rsf::Status Drain();
+  /// A unicast repair frame of `length` bytes landed in repair_buf.  An
+  /// error means a loss storm: leave the tier.
+  rsf::Status Repair(uint32_t length);
+  /// The contiguous delivery point a leave control frame reports.
+  [[nodiscard]] uint64_t Contig() const noexcept;
+  /// Idempotent: unregisters and closes the group socket, drops the engine.
+  void Teardown();
+
+ private:
+  [[nodiscard]] rsf::Status LossStormCheck() const;
 };
 
 }  // namespace ros

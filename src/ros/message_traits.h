@@ -73,9 +73,8 @@ inline std::atomic<uint64_t> mcast_nacks{0};    // NACK control frames handled
 inline std::atomic<uint64_t> mcast_repairs{0};  // unicast repairs sent
 /// Deterministic loss injection: the percentage of outgoing datagrams the
 /// group sender silently discards instead of sending (counter-based, so a
-/// run is exactly reproducible).  A test shim — chaos tests set it
-/// directly; RSF_MCAST_DROP_PCT seeds it once at first sender creation so
-/// the CI chaos job can drive whole binaries.  0 in production.
+/// run is exactly reproducible).  A test shim that chaos tests set
+/// directly; 0 in production.
 inline std::atomic<uint32_t> mcast_drop_pct{0};
 /// Shm blocks force-reclaimed from dead (SIGKILLed) subscribers — reads the
 /// pool's own ledger so the count survives pool-internal sweeps too.
@@ -84,8 +83,7 @@ inline uint64_t shm_blocks_reclaimed() {
 }
 }  // namespace shim
 
-/// A frame destination handed to the transport's frame reader, plus the
-/// typed finalization once the bytes are in.
+/// The typed send-side encodings and the regular receive-side decode.
 template <Message M>
 struct Serializer;
 
@@ -116,41 +114,13 @@ struct Serializer {
     return msg;
   }
 
-  struct ReceiveArena {
-    /// Per-link scratch staging buffer, reused across frames: the read loop
-    /// owns it and keeps its capacity, so steady-state receive does zero
-    /// heap allocation for the staging bytes.  Grow-only.
-    std::vector<uint8_t>* scratch = nullptr;
-    std::unique_ptr<uint8_t[]> owned;  // fallback when no scratch is wired
-    uint8_t* data = nullptr;
-
-    uint8_t* Allocate(uint32_t length) {
-      const size_t needed = length == 0 ? 1 : length;
-      if (scratch != nullptr) {
-        if (scratch->size() < needed) {
-          scratch->resize(needed);
-          shim::scratch_allocations.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          shim::scratch_reuses.fetch_add(1, std::memory_order_relaxed);
-        }
-        data = scratch->data();
-      } else {
-        // Default-initialized: the socket read fills it (make_unique would
-        // value-initialize, i.e. memset the whole block).
-        owned.reset(new uint8_t[needed]);
-        shim::scratch_allocations.fetch_add(1, std::memory_order_relaxed);
-        data = owned.get();
-      }
-      return data;
-    }
-  };
-
-  static rsf::Result<std::shared_ptr<const M>> FromWire(ReceiveArena arena,
+  /// Receive: runs the generated de-serializer over a landed frame (the
+  /// subscription's staging buffer) into a fresh message object.
+  static rsf::Result<std::shared_ptr<const M>> FromWire(const uint8_t* data,
                                                         uint32_t length) {
     auto msg = std::make_shared<M>();
     shim::deserialize_copies.fetch_add(1, std::memory_order_relaxed);
-    RSF_RETURN_IF_ERROR(
-        rsf::ser::ros1::Deserialize(arena.data, length, *msg));
+    RSF_RETURN_IF_ERROR(rsf::ser::ros1::Deserialize(data, length, *msg));
     return std::shared_ptr<const M>(std::move(msg));
   }
 };
@@ -199,34 +169,9 @@ struct Serializer<M> {
     return msg;
   }
 
-  struct ReceiveArena {
-    /// Present for interface parity with the regular variant; the SFM path
-    /// never stages bytes — payloads land in the arena block directly.
-    std::vector<uint8_t>* scratch = nullptr;
-    ::sfm::PooledBlock block;
-    size_t capacity = 0;
-
-    uint8_t* Allocate(uint32_t length) {
-      capacity = ::sfm::ArenaCapacityFor(M::DataType(), M::kArenaCapacity);
-      if (capacity < length) capacity = length;
-      // Pooled + default-initialized: arenas are megabytes (sized for the
-      // largest message of the type), so recycling keeps pages warm and a
-      // value-initializing allocation would memset the full capacity.
-      block = ::sfm::AcquireArenaBlock(capacity);
-      shim::arena_direct.fetch_add(1, std::memory_order_relaxed);
-      return block.get();
-    }
-  };
-
-  static rsf::Result<std::shared_ptr<const M>> FromWire(ReceiveArena arena,
-                                                        uint32_t length) {
-    if (length < sizeof(M)) {
-      return rsf::OutOfRangeError("SFM frame smaller than the skeleton");
-    }
-    const uint8_t* start = ::sfm::gmm().AdoptReceived(
-        M::DataType(), std::move(arena.block), arena.capacity, length);
-    return ::sfm::WrapReceived<M>(start);
-  }
+  // Receive needs no typed step: the subscription lands the frame in an
+  // arena block, the message manager adopts it, and the record start IS
+  // the message (RxCodec, subscription.h).
 };
 
 }  // namespace ros

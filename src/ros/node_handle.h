@@ -164,9 +164,9 @@ class Subscriber {
 
  private:
   friend class NodeHandle;
-  explicit Subscriber(std::shared_ptr<SubscriptionBase> impl)
+  explicit Subscriber(std::shared_ptr<Subscription> impl)
       : impl_(std::move(impl)) {}
-  std::shared_ptr<SubscriptionBase> impl_;
+  std::shared_ptr<Subscription> impl_;
 };
 
 class NodeHandle {
@@ -199,16 +199,22 @@ class NodeHandle {
   }
 
   /// Registers a callback for a topic (paper Fig. 3).  The callback runs on
-  /// this node's callback queue, driven by spin()/spinOnce().
+  /// this node's callback queue, driven by spin()/spinOnce().  The only
+  /// typed parts of the subscription are built here: M's receive codec and
+  /// the adapter that hands the type-erased message back as
+  /// shared_ptr<const M> (the transport checksum guarantees the type).
   template <Message M>
   Subscriber subscribe(
       const std::string& topic, size_t queue_size,
       std::function<void(const std::shared_ptr<const M>&)> callback,
       SubscribeOptions options = {}) {
     options.queue_size = queue_size;
-    auto subscription =
-        Subscription<M>::Create(topic, TransportChecksum<M>(), name_, options,
-                                std::move(callback), queue_);
+    auto subscription = Subscription::Create(
+        topic, TransportChecksum<M>(), name_, options, MakeRxCodec<M>(),
+        [callback = std::move(callback)](Subscription::MessagePtr msg) {
+          callback(std::static_pointer_cast<const M>(std::move(msg)));
+        },
+        queue_);
     if (!subscription.ok()) {
       throw std::runtime_error(subscription.status().ToString());
     }

@@ -2,6 +2,7 @@
 // generated message headers and write roscpp-style code (paper Fig. 3).
 #pragma once
 
+#include "common/log.h"             // IWYU pragma: export
 #include "ros/callback_queue.h"     // IWYU pragma: export
 #include "ros/connection_header.h"  // IWYU pragma: export
 #include "ros/intra_process.h"      // IWYU pragma: export

@@ -44,6 +44,30 @@ size_t CountProcessThreads() {
   return count;
 }
 
+/// An untyped publication registered like bag playback: it sends whatever
+/// wire frames a test hands it to subscribers of `datatype` / `md5`.
+std::shared_ptr<ros::Publication> AdvertiseRaw(const std::string& topic,
+                                               const std::string& datatype,
+                                               const std::string& md5) {
+  auto publication =
+      ros::Publication::Create(topic, datatype, md5, "raw_pub", 16);
+  EXPECT_TRUE(publication.ok());
+  EXPECT_TRUE(ros::master()
+                  .RegisterPublisher(topic, datatype, md5,
+                                     ros::TopicEndpoint{
+                                         "127.0.0.1", (*publication)->port(),
+                                         "raw_pub"})
+                  .ok());
+  return *publication;
+}
+
+ros::SerializedMessage RawFrame(std::vector<uint8_t> bytes) {
+  const size_t size = bytes.size();
+  auto holder = std::make_shared<std::vector<uint8_t>>(std::move(bytes));
+  return ros::SerializedMessage{
+      std::shared_ptr<uint8_t[]>(holder, holder->data()), size};
+}
+
 class MiddlewareTest : public ::testing::Test {
  protected:
   void TearDown() override { ros::master().Reset(); }
@@ -538,6 +562,76 @@ TEST_F(MiddlewareTest, TransportThreadCountIndependentOfLinkCount) {
   for (auto& sub : subs) {
     ASSERT_TRUE(WaitFor([&] { return sub.receivedCount() >= 1; }));
   }
+}
+
+// A frame that fails to decode — shorter than the SFM skeleton, or a
+// truncated ros1 payload — is dropped and counted, and the link stays up
+// for the next valid frame.
+TEST_F(MiddlewareTest, MalformedFramesCountAsDropsAndKeepTheLink) {
+  using Image = sensor_msgs::sfm::Image;
+  ros::NodeHandle sub_node("sub");
+  ros::SubscribeOptions options;
+  options.inline_dispatch = true;
+  std::mutex mutex;
+  std::atomic<int> images{0};
+  std::atomic<int> strings{0};
+  std::string encoding;
+  std::string text;
+  auto image_sub = sub_node.subscribe<Image>(
+      "/malformed_image", 10,
+      [&](const Image::ConstPtr& msg) {
+        std::lock_guard<std::mutex> lock(mutex);
+        encoding = msg->encoding;
+        images++;
+      },
+      options);
+  auto string_sub = sub_node.subscribe<std_msgs::String>(
+      "/malformed_string", 10,
+      [&](const std_msgs::String::ConstPtr& msg) {
+        std::lock_guard<std::mutex> lock(mutex);
+        text = msg->data;
+        strings++;
+      },
+      options);
+  auto image_pub = AdvertiseRaw("/malformed_image", Image::DataType(),
+                                ros::TransportChecksum<Image>());
+  auto string_pub =
+      AdvertiseRaw("/malformed_string", std_msgs::String::DataType(),
+                   ros::TransportChecksum<std_msgs::String>());
+  ASSERT_TRUE(WaitFor([&] {
+    return image_pub->NumSubscribers() == 1 &&
+           string_pub->NumSubscribers() == 1;
+  }));
+
+  image_pub->Publish(RawFrame({1, 2, 3}));
+  auto img = sfm::make_message<Image>();
+  img->encoding = "rgb8";
+  img->data.resize(4);
+  image_pub->Publish(ros::Serializer<Image>::ToWire(*img));
+
+  std_msgs::String msg;
+  msg.data = "intact";
+  const auto wire = rsf::ser::ros1::SerializeToVector(msg);
+  // The length prefix promises 6 characters; only 2 follow.
+  string_pub->Publish(RawFrame({wire.begin(), wire.begin() + 6}));
+  string_pub->Publish(RawFrame(wire));
+
+  ASSERT_TRUE(
+      WaitFor([&] { return images.load() == 1 && strings.load() == 1; }));
+  rsf::SleepForNanos(50'000'000);  // nothing else may trickle in
+  EXPECT_EQ(images.load(), 1);
+  EXPECT_EQ(strings.load(), 1);
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    EXPECT_EQ(encoding, "rgb8");
+    EXPECT_EQ(text, "intact");
+  }
+  for (const ros::Subscriber* sub : {&image_sub, &string_sub}) {
+    EXPECT_EQ(sub->droppedCount(), 1u);
+    EXPECT_EQ(sub->getNumPublishers(), 1u);
+  }
+  image_pub->Shutdown();
+  string_pub->Shutdown();
 }
 
 }  // namespace
